@@ -246,11 +246,16 @@ _TESTERS = {
 }
 
 
-def _run_trial(table_path: str, klass: str, eps_str: str, seed: int):
-    table = oracle.parse_full_table(_read(table_path))
+def _trial(table, klass: str, eps: Fraction, seed: int):
     fn = _TESTERS[klass]
-    report = fn(testers.FunctionOracle.from_table(table), Fraction(eps_str), seed)
+    report = fn(testers.FunctionOracle.from_table(table), eps, seed)
     return to_jsonable(report)
+
+
+def _run_trial(table_path: str, klass: str, eps_str: str, seed: int):
+    """One trial in a worker process, which parses the table itself."""
+    table = oracle.parse_full_table(_read(table_path))
+    return _trial(table, klass, Fraction(eps_str), seed)
 
 
 def cmd_test(args) -> int:
@@ -273,9 +278,7 @@ def cmd_test(args) -> int:
                 [(args.oracle, args.klass, str(eps), s) for s in seeds],
             )
     else:
-        reports = [
-            _run_trial(args.oracle, args.klass, str(eps), s) for s in seeds
-        ]
+        reports = [_trial(table, args.klass, eps, s) for s in seeds]
     rejections = sum(1 for r in reports if r["verdict"] == "reject")
     _emit(
         {
@@ -421,6 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    debug_before = lp.DEBUG
     if getattr(args, "debug_lp", False):
         lp.DEBUG = True
     try:
@@ -437,6 +441,8 @@ def main(argv=None) -> int:
     except ExtendkitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    finally:
+        lp.DEBUG = debug_before
 
 
 if __name__ == "__main__":

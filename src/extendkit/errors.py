@@ -3,12 +3,17 @@
 Three families matter to callers (the CLI maps them to exit codes):
 InputError covers anything wrong with user-supplied data, ResourceCapError
 covers refusals on size grounds, and CertificateError covers malformed or
-inconsistent certificate objects.
+inconsistent certificate objects. InternalError is a failed self-check of
+the package's own results, never a verdict on the input.
 """
 
 
 class ExtendkitError(Exception):
     pass
+
+
+class InternalError(ExtendkitError):
+    """A self-check of a computed result failed (a bug, not bad input)."""
 
 
 class InputError(ExtendkitError):

@@ -2,8 +2,13 @@
 infeasibility witnesses, and unboundedness rays.
 
 Every decision procedure in the package funnels through solve(). All
-arithmetic is exact; tableau entries are rationals kept in lowest terms by
-the rational type itself.
+arithmetic is exact and fraction-free. Each solver row is scaled to integers
+by the lcm of its denominators, and the tableau holds the integers
+T = D * B^-1 [A | b] over one common denominator D = det B > 0. A pivot on
+p = T[r][c] sets T[i][j] = (p*T[i][j] - T[i][c]*T[r][j]) // D and D = p; the
+division is exact (Edmonds 1967, Bareiss 1968), so the simplex takes no gcd.
+Rationals are formed only when an assignment, an optimal value, a ray or a
+Farkas witness is read out.
 
 Farkas convention: a witness assigns one multiplier per *expanded* row
 (declared constraints, then lower-bound rows in variable order, then
@@ -18,9 +23,10 @@ from __future__ import annotations
 import os
 import sys
 from dataclasses import dataclass
+from math import lcm
 from typing import Optional
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, InternalError
 from .ground import ONE, ZERO, Rational
 
 DEBUG = bool(os.environ.get("EXTENDKIT_DEBUG_LP"))
@@ -140,31 +146,65 @@ def verify_farkas(lp: ExactLP, witness: FarkasWitness) -> bool:
 # simplex internals
 
 
-class _Tableau:
-    """Dense tableau with row 0 holding reduced costs and -objective."""
+def _denominator_lcm(values) -> int:
+    out = 1
+    for v in values:
+        d = int(v.denominator)
+        if d != 1:
+            out = lcm(out, d)
+    return out
 
-    def __init__(self, rows, ncols):
-        self.rows = rows  # list of lists, each length ncols+1
+
+def _scaled(value, scale: int) -> int:
+    """value * scale as an int, for a scale its denominator divides."""
+    return int(value.numerator) * (scale // int(value.denominator))
+
+
+class _Tableau:
+    """Dense integer tableau over the common denominator ``d``.
+
+    Row 0 holds d * L * (reduced costs | -objective) for the phase's integer
+    cost vector scaled by L; rows 1.. hold d * B^-1 [A | b]. ``colscale[j]``
+    is the factor by which column j's variable is scaled against the
+    unscaled LP (a row's scale for its slack and artificial, else 1).
+    """
+
+    def __init__(self, rows, ncols, basis, colscale):
+        self.rows = rows  # list of int lists, each length ncols+1
         self.ncols = ncols
-        self.basis = []  # basic column per row
+        self.basis = basis  # basic column per row
+        self.colscale = colscale
+        self.d = 1
 
     def pivot(self, r, c):
-        row = self.rows[r]
-        piv = row[c]
-        inv = ONE / piv
-        w = self.ncols + 1
-        if inv != 1:
-            for j in range(w):
-                if row[j]:
-                    row[j] *= inv
-        nz = [j for j in range(w) if row[j]]
-        for i, other in enumerate(self.rows):
-            if i == r:
-                continue
-            f = other[c]
-            if f:
-                for j in nz:
-                    other[j] -= f * row[j]
+        rows = self.rows
+        prow = rows[r]
+        p = prow[c]
+        if p < 0:
+            # negating the whole tableau keeps d > 0; folding the sign into
+            # the pivot row gives every other row the negated update for free
+            p = -p
+            prow = rows[r] = [-v for v in prow]
+        d = self.d
+        if p == d:
+            # T[i][j] - T[i][c] * T[r][j] / d: only the pivot row's nonzero
+            # columns change, and rows with T[i][c] == 0 not at all
+            nz = [(j, b) for j, b in enumerate(prow) if b]
+            for i, row in enumerate(rows):
+                f = row[c]
+                if f and i != r:
+                    for j, b in nz:
+                        row[j] -= f * b // d
+        else:
+            for i, row in enumerate(rows):
+                if i == r:
+                    continue
+                f = row[c]
+                if f:
+                    rows[i] = [(p * a - f * b) // d for a, b in zip(row, prow)]
+                else:
+                    rows[i] = [p * a // d if a else 0 for a in row]
+        self.d = p
         self.basis[r - 1] = c
 
     def bland_min(self, eligible):
@@ -172,9 +212,11 @@ class _Tableau:
 
         Returns "optimal" or ("unbounded", entering_col).
         """
-        obj = self.rows[0]
-        nrows = len(self.rows) - 1
+        rows = self.rows
+        basis = self.basis
+        rhs = self.ncols
         while True:
+            obj = rows[0]
             enter = -1
             for j in eligible:
                 if obj[j] < 0:
@@ -182,22 +224,24 @@ class _Tableau:
                     break
             if enter < 0:
                 return "optimal"
+            # ratio test: the least rhs/a over a > 0, compared as t*den vs
+            # num*a, ties to the smaller basic column
             leave = -1
-            best = None
-            for r in range(1, nrows + 1):
-                a = self.rows[r][enter]
+            num = den = 0
+            for r in range(1, len(rows)):
+                a = rows[r][enter]
                 if a > 0:
-                    ratio = self.rows[r][self.ncols] / a
-                    if best is None or ratio < best or (
-                        ratio == best and self.basis[r - 1] < self.basis[leave - 1]
+                    t = rows[r][rhs]
+                    if leave < 0 or t * den < num * a or (
+                        t * den == num * a and basis[r - 1] < basis[leave - 1]
                     ):
-                        best = ratio
-                        leave = r
+                        num, den, leave = t, a, r
             if leave < 0:
                 return ("unbounded", enter)
             if DEBUG:
+                ratio = Rational(num, den * self.colscale[enter])
                 print(
-                    f"[lp] pivot enter={enter} leave_row={leave} ratio={best}",
+                    f"[lp] pivot enter={enter} leave_row={leave} ratio={ratio}",
                     file=sys.stderr,
                 )
             self.pivot(leave, enter)
@@ -230,90 +274,99 @@ def solve(lp: ExactLP):
 
     # Solver rows: declared constraints then upper-bound rows.
     solver_rows = [(c.coeffs, c.relation, c.rhs) for c in lp.constraints]
-    upper_rows_vars = []
     for j in range(nv):
         if upper[j] is not None:
             unit = tuple(ONE if k == j else ZERO for k in range(nv))
             solver_rows.append((unit, LE, upper[j]))
-            upper_rows_vars.append(j)
 
     # Express each row over columns, fold lower-bound shifts into the rhs,
-    # then normalize to nonnegative rhs (tracking the sign flip).
-    norm = []  # (colcoeffs: dict, rel, rhs, flip)
+    # scale it to integers by the lcm of its denominators, then normalize to
+    # nonnegative rhs (tracking the sign flip). A homogeneous ">=" row is
+    # flipped too, so that it starts basic on its slack.
+    norm = []  # (colcoeffs: dict of ints, rel, rhs: int, flip, scale)
     for coeffs, rel, rhs in solver_rows:
-        cc = {}
-        b = Rational(rhs)
+        terms = []
+        b = rhs
         for j, a in enumerate(coeffs):
             if not a:
                 continue
-            a = Rational(a)
-            loc = col_of[j]
-            if loc[0] == "shift":
-                cc[loc[1]] = a
+            terms.append((j, a))
+            if lower[j]:
                 b -= a * lower[j]
-            else:
-                cc[loc[1]] = a
-                cc[loc[2]] = -a
+        s = _denominator_lcm([a for _j, a in terms] + [b])
         flip = 1
-        if b < 0:
+        b = _scaled(b, s)
+        if b < 0 or (b == 0 and rel == GE):
             flip = -1
             b = -b
-            cc = {k: -v for k, v in cc.items()}
             rel = {LE: GE, GE: LE, EQ: EQ}[rel]
-        norm.append((cc, rel, b, flip))
+        cc = {}
+        for j, a in terms:
+            a = flip * _scaled(a, s)
+            loc = col_of[j]
+            cc[loc[1]] = a
+            if loc[0] == "split":
+                cc[loc[2]] = -a
+        norm.append((cc, rel, b, flip, s))
 
     nrows = len(norm)
     # slack/surplus columns, then artificial columns
     slack_col = [None] * nrows
     art_col = [None] * nrows
     c = nstruct
-    for i, (cc, rel, b, flip) in enumerate(norm):
+    for i, (cc, rel, b, flip, s) in enumerate(norm):
         if rel in (LE, GE):
             slack_col[i] = c
             c += 1
-    for i, (cc, rel, b, flip) in enumerate(norm):
+    for i, (cc, rel, b, flip, s) in enumerate(norm):
         if rel in (EQ, GE):
             art_col[i] = c
             c += 1
     ncols = c
     art_set = {a for a in art_col if a is not None}
 
-    rows = [[ZERO] * (ncols + 1)]  # row 0 = objective row, filled per phase
+    # The slack and artificial of row i keep coefficients +-1, so they stand
+    # for the row's scale s times the unscaled ones.
+    colscale = [1] * ncols
+    rows = [[0] * (ncols + 1)]  # row 0 = objective row, filled per phase
     basis = []
-    for i, (cc, rel, b, flip) in enumerate(norm):
-        row = [ZERO] * (ncols + 1)
+    for i, (cc, rel, b, flip, s) in enumerate(norm):
+        row = [0] * (ncols + 1)
         for col, a in cc.items():
             row[col] = a
         if slack_col[i] is not None:
-            row[slack_col[i]] = ONE if rel == LE else -ONE
+            row[slack_col[i]] = 1 if rel == LE else -1
+            colscale[slack_col[i]] = s
         if art_col[i] is not None:
-            row[art_col[i]] = ONE
+            row[art_col[i]] = 1
+            colscale[art_col[i]] = s
             basis.append(art_col[i])
         else:
             basis.append(slack_col[i])
         row[ncols] = b
         rows.append(row)
 
-    tab = _Tableau(rows, ncols)
-    tab.basis = basis
+    tab = _Tableau(rows, ncols, basis, colscale)
 
-    # ---- phase 1: minimize the sum of artificials
+    # ---- phase 1: minimize phase1_l times the sum of the unscaled
+    # artificials, so that the artificial of a row with scale s costs
+    # phase1_l // s and Bland's rule pivots as on the unscaled tableau
     if art_set:
+        phase1_l = lcm(*(colscale[a] for a in art_set))
         obj = rows[0]
-        for j in range(ncols + 1):
-            s = ZERO
-            for i in range(nrows):
-                if tab.basis[i] in art_set:
-                    s += rows[i + 1][j]
-            obj[j] = (ONE if j in art_set else ZERO) - s
+        for i, a in enumerate(art_col):
+            if a is not None:
+                w = phase1_l // colscale[a]
+                for j, v in enumerate(rows[i + 1]):
+                    if v:
+                        obj[j] -= w * v
+                obj[a] += w
         status = tab.bland_min(range(ncols))
-        assert status == "optimal", "phase 1 cannot be unbounded"
-        infeas_amount = -rows[0][ncols]
-        if infeas_amount > 0:
+        if status != "optimal":
+            raise InternalError("internal error: phase 1 cannot be unbounded")
+        if rows[0][ncols] < 0:  # a positive sum of artificials remains
             return Infeasible(
-                _farkas_from_tableau(
-                    lp, tab, norm, slack_col, art_col, col_of, upper_rows_vars
-                )
+                _farkas_from_tableau(lp, tab, norm, phase1_l, slack_col, art_col, col_of)
             )
         # drive artificials out of the basis where possible
         for i in range(nrows):
@@ -326,16 +379,17 @@ def solve(lp: ExactLP):
                 # an all-zero row is redundant; its basic artificial stays 0
 
     def read_assignment():
-        vals = [ZERO] * ncols
+        d = tab.d
+        vals = [0] * ncols
         for i in range(nrows):
             vals[tab.basis[i]] = rows[i + 1][ncols]
         out = {}
         for j, name in enumerate(lp.variables):
             loc = col_of[j]
             if loc[0] == "shift":
-                out[name] = lower[j] + vals[loc[1]]
+                out[name] = lower[j] + Rational(vals[loc[1]], d)
             else:
-                out[name] = vals[loc[1]] - vals[loc[2]]
+                out[name] = Rational(vals[loc[1]] - vals[loc[2]], d)
         return out
 
     if lp.objective is None:
@@ -343,41 +397,46 @@ def solve(lp: ExactLP):
         _assert_satisfies(lp, assignment)
         return Feasible(assignment)
 
-    # ---- phase 2
+    # ---- phase 2: row 0 from the cost vector scaled to integers by cost_l
     coeffs, direction = lp.objective
     sign = ONE if direction == "min" else -ONE
-    cost = [ZERO] * ncols
+    signed = [sign * a for a in coeffs]
+    cost_l = _denominator_lcm(signed)
+    cost = [0] * ncols
     const_term = ZERO
-    for j, a in enumerate(coeffs):
+    for j, a in enumerate(signed):
         if not a:
             continue
-        a = sign * Rational(a)
         loc = col_of[j]
+        cost[loc[1]] = _scaled(a, cost_l)
         if loc[0] == "shift":
-            cost[loc[1]] += a
             const_term += a * lower[j]
         else:
-            cost[loc[1]] += a
-            cost[loc[2]] -= a
-    obj = rows[0]
-    for j in range(ncols + 1):
-        s = ZERO
-        for i in range(nrows):
-            cb = cost[tab.basis[i]]
-            if cb:
-                s += cb * rows[i + 1][j]
-        obj[j] = (cost[j] if j < ncols else ZERO) - s
+            cost[loc[2]] = -cost[loc[1]]
+    d = tab.d
+    obj = [d * a for a in cost] + [0]
+    for i in range(nrows):
+        cb = cost[tab.basis[i]]
+        if cb:
+            for j, v in enumerate(rows[i + 1]):
+                if v:
+                    obj[j] -= cb * v
+    rows[0] = obj
 
     eligible = [j for j in range(ncols) if j not in art_set]
     status = tab.bland_min(eligible)
+    d = tab.d
     if status != "optimal":
         _, enter = status
+        # one unit of the unscaled entering variable moves each basic
+        # variable by -T[i][enter] * colscale[enter] / d
+        step = tab.colscale[enter]
         dirvec = [ZERO] * ncols
         dirvec[enter] = ONE
         for i in range(nrows):
             a = rows[i + 1][enter]
             if a:
-                dirvec[tab.basis[i]] = -a
+                dirvec[tab.basis[i]] = Rational(-a * step, d)
         ray = {}
         for j, name in enumerate(lp.variables):
             loc = col_of[j]
@@ -390,25 +449,27 @@ def solve(lp: ExactLP):
 
     assignment = read_assignment()
     _assert_satisfies(lp, assignment)
-    value = sign * (-rows[0][ncols] + const_term)
+    value = sign * (Rational(-rows[0][ncols], cost_l * d) + const_term)
     return Optimal(assignment, value)
 
 
-def _farkas_from_tableau(lp, tab, norm, slack_col, art_col, col_of, upper_rows_vars):
+def _farkas_from_tableau(lp, tab, norm, phase1_l, slack_col, art_col, col_of):
     """Build expanded-row multipliers from the optimal phase-1 tableau."""
-    rows = tab.rows
-    obj = rows[0]
+    obj = tab.rows[0]
+    den = tab.d * phase1_l  # row 0 holds den * (reduced costs)
     nconstraints = len(lp.constraints)
     nv = len(lp.variables)
 
     lam_solver = []
-    for i, (cc, rel, b, flip) in enumerate(norm):
-        tracker = art_col[i] if art_col[i] is not None else slack_col[i]
-        ctrack = ONE if art_col[i] is not None else ZERO
-        y = ctrack - obj[tracker]
+    for i, (cc, rel, b, flip, s) in enumerate(norm):
+        # the dual of the unscaled row is s times the scaled row's
+        if art_col[i] is not None:
+            y = Rational(den - s * obj[art_col[i]], den)
+        else:
+            y = Rational(-s * obj[slack_col[i]], den)
         w = -flip * y
         # orient per the original relation of this solver row
-        lam_solver.append(-w if rel_of_solver_row(lp, i, upper_rows_vars) == GE else w)
+        lam_solver.append(-w if rel_of_solver_row(lp, i) == GE else w)
 
     # lower-bound multipliers are the reduced costs of the shifted columns
     lam_lower = []
@@ -416,17 +477,18 @@ def _farkas_from_tableau(lp, tab, norm, slack_col, art_col, col_of, upper_rows_v
     for j in range(nv):
         if lower[j] is not None:
             loc = col_of[j]
-            lam_lower.append(obj[loc[1]])
+            lam_lower.append(Rational(obj[loc[1]], den))
 
     mults = tuple(lam_solver[:nconstraints]) + tuple(lam_lower) + tuple(
         lam_solver[nconstraints:]
     )
     witness = FarkasWitness(mults)
-    assert verify_farkas(lp, witness), "internal error: unverifiable Farkas witness"
+    if not verify_farkas(lp, witness):
+        raise InternalError("internal error: unverifiable Farkas witness")
     return witness
 
 
-def rel_of_solver_row(lp, i, upper_rows_vars):
+def rel_of_solver_row(lp, i):
     if i < len(lp.constraints):
         return lp.constraints[i].relation
     return LE  # upper-bound rows
@@ -440,17 +502,18 @@ def _assert_satisfies(lp, assignment):
             if a:
                 s += a * v
         ok = s <= rhs if rel == LE else s >= rhs if rel == GE else s == rhs
-        assert ok, "internal error: simplex returned an infeasible point"
+        if not ok:
+            raise InternalError("internal error: simplex returned an infeasible point")
 
 
 def _assert_ray(lp, ray):
     vals = [ray[name] for name in lp.variables]
     coeffs, direction = lp.objective
     gain = sum((a * v for a, v in zip(coeffs, vals)), ZERO)
-    assert (gain < 0) if direction == "min" else (gain > 0), (
-        "internal error: ray does not improve the objective"
-    )
+    if not ((gain < 0) if direction == "min" else (gain > 0)):
+        raise InternalError("internal error: ray does not improve the objective")
     for rcoeffs, rel, _rhs in lp.expanded_rows():
         s = sum((a * v for a, v in zip(rcoeffs, vals)), ZERO)
         ok = s <= 0 if rel == LE else s >= 0 if rel == GE else s == 0
-        assert ok, "internal error: ray leaves the feasible region"
+        if not ok:
+            raise InternalError("internal error: ray leaves the feasible region")

@@ -195,8 +195,11 @@ def approx_monotone_subadditive_exact(h: PartialSetFunction):
     alpha* = max over defined T of f(T) / min-cover-cost(T); the pointwise
     maximal monotone subadditive function below upper bounds alpha*f is the
     cover roof of those bounds, and the roof scales linearly with alpha.
+    With no defined sets the factor is 1 and there is no witness (None).
     """
     _require_positive(h)
+    if not h.points:
+        return Rational(1), None
     best = Rational(1)
     best_target = h.points[0][0]
     best_cover: tuple[int, ...] = (best_target,)

@@ -265,3 +265,32 @@ def test_trials_jobs_byte_identical(files):
     parallel = run(base + ["--jobs", "2"])
     assert serial.returncode == parallel.returncode == 0
     assert serial.stdout == parallel.stdout
+
+
+def test_debug_lp_does_not_leak_into_later_calls(files, capsys):
+    from extendkit import cli
+
+    argv = ["extend", "--class", "submodular", "--input", files["cube.json"]]
+    assert cli.main(argv + ["--debug-lp"]) == 1
+    assert "[lp] pivot enter=" in capsys.readouterr().err
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == ""
+
+
+def test_refutation_unchanged_under_python_O(files):
+    argv = ["extend", "--class", "submodular", "--input", files["cube.json"]]
+    plain = run(argv)
+    optimized = subprocess.run(
+        [sys.executable, "-O", "-m", "extendkit"] + argv, capture_output=True, text=True
+    )
+    assert plain.returncode == optimized.returncode == 1
+    assert optimized.stdout == plain.stdout
+    assert json.loads(optimized.stdout)["verdict"] == "not_extendible"
+
+
+def test_approx_subadditive_empty_instance(tmp_path):
+    path = tmp_path / "empty.json"
+    path.write_text('{"m":2,"points":[]}')
+    out = run(["approx", "--class", "subadditive", "--input", str(path)])
+    assert out.returncode == 0
+    assert json.loads(out.stdout) == {"alpha": "1", "witness": None}

@@ -1,8 +1,12 @@
 """The exact simplex: outcomes, witnesses, rays, determinism."""
 
 import random
+import subprocess
+import sys
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from extendkit import lp
 from extendkit.errors import DimensionMismatch
@@ -137,3 +141,128 @@ def test_fractional_coefficients():
     out = lp.solve(prob)
     assert isinstance(out, lp.Optimal)
     assert out.value == 6  # x=2 or y=3 both cost 6
+
+
+# ---------------------------------------------------------------------------
+# property: the integer tableau against an independent brute force
+
+small_q = st.builds(
+    Q, st.integers(min_value=-3, max_value=3), st.sampled_from([1, 2, 3, 4, 6])
+)
+
+
+@st.composite
+def small_lps(draw):
+    """At most 3 variables, mixed denominators, homogeneous ">=" rows, "="
+    rows with a redundant copy, lower and upper bounds, free variables."""
+    nv = draw(st.integers(min_value=1, max_value=3))
+    coeffs = st.tuples(*[small_q] * nv)
+    rows = draw(
+        st.lists(
+            st.tuples(coeffs, st.sampled_from(["<=", "=", ">="]), small_q),
+            max_size=4,
+        )
+    )
+    rows += [(co, ">=", Q(0)) for co in draw(st.lists(coeffs, max_size=2))]
+    if draw(st.booleans()):
+        co, b = draw(coeffs), draw(small_q)
+        k = draw(st.sampled_from([Q(1), Q(-2), Q(1, 3)]))
+        rows += [(co, "=", b), (tuple(k * a for a in co), "=", k * b)]
+    rows = draw(st.permutations(rows))
+    lower = tuple(draw(st.sampled_from([None, Q(0), Q(-1), Q(1, 2)])) for _ in range(nv))
+    upper = tuple(draw(st.sampled_from([None, None, Q(2), Q(7, 3)])) for _ in range(nv))
+    objective = None
+    if draw(st.integers(0, 4)):
+        objective = (draw(coeffs), draw(st.sampled_from(["min", "max"])))
+    return make([f"x{i}" for i in range(nv)], rows, objective, lower, upper)
+
+
+def _solve_square(mat, rhs):
+    """Gauss-Jordan on a square Fraction system; None when singular."""
+    n = len(mat)
+    aug = [list(row) + [b] for row, b in zip(mat, rhs)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
+        if piv is None:
+            return None
+        aug[col], aug[piv] = aug[piv], aug[col]
+        lead = aug[col][col]
+        aug[col] = [v / lead for v in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                f = aug[r][col]
+                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
+    return [aug[r][n] for r in range(n)]
+
+
+def _satisfies(rows, x):
+    for co, rel, b in rows:
+        s = sum((a * v for a, v in zip(co, x)), Q(0))
+        if not (s <= b if rel == "<=" else s >= b if rel == ">=" else s == b):
+            return False
+    return True
+
+
+def _brute_force_points(prob):
+    """Every feasible solution of a square subsystem drawn from the rows
+    (made tight) and the coordinate hyperplanes x_j = 0. Each minimal face
+    of the feasible region is an affine space that contains such a point,
+    so a bounded objective attains its optimum among them."""
+    nv = len(prob.variables)
+    rows = prob.expanded_rows()
+    units = [(tuple(Q(int(k == j)) for k in range(nv)), Q(0)) for j in range(nv)]
+    candidates = [(co, b) for co, _rel, b in rows] + units
+    points = []
+    for sub in combinations(candidates, nv):
+        x = _solve_square([co for co, _ in sub], [b for _, b in sub])
+        if x is not None and _satisfies(rows, x):
+            points.append(x)
+    return points
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_lps())
+def test_integer_tableau_matches_brute_force(prob):
+    out = lp.solve(prob)
+    points = _brute_force_points(prob)
+    if isinstance(out, lp.Infeasible):
+        assert lp.verify_farkas(prob, out.witness)
+        assert not points
+        return
+    assert points
+    if isinstance(out, lp.Feasible):
+        assert _satisfies(prob.expanded_rows(), [out.assignment[v] for v in prob.variables])
+        return
+    coeffs, direction = prob.objective
+    if isinstance(out, lp.Unbounded):
+        ray = [out.ray[v] for v in prob.variables]
+        gain = sum((a * v for a, v in zip(coeffs, ray)), Q(0))
+        assert gain < 0 if direction == "min" else gain > 0
+        homogeneous = [(co, rel, Q(0)) for co, rel, _b in prob.expanded_rows()]
+        assert _satisfies(homogeneous, ray)
+        return
+    assert isinstance(out, lp.Optimal)
+    x = [out.assignment[v] for v in prob.variables]
+    assert _satisfies(prob.expanded_rows(), x)
+    assert out.value == sum((a * v for a, v in zip(coeffs, x)), Q(0))
+    values = [sum((a * v for a, v in zip(coeffs, p)), Q(0)) for p in points]
+    assert out.value == (min(values) if direction == "min" else max(values))
+
+
+def test_self_checks_raise_under_python_O():
+    """The Farkas self-check is a raise, so python -O keeps it."""
+    code = (
+        "from fractions import Fraction as Q\n"
+        "from extendkit import lp\n"
+        "from extendkit.errors import InternalError\n"
+        "lp.verify_farkas = lambda prob, witness: False\n"
+        "prob = lp.ExactLP(('x',), (lp.Constraint((Q(1),), '>=', Q(1)),"
+        " lp.Constraint((Q(1),), '<=', Q(0))))\n"
+        "try:\n"
+        "    lp.solve(prob)\n"
+        "except InternalError as exc:\n"
+        "    print(exc)\n"
+    )
+    out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "internal error: unverifiable Farkas witness"
