@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -15,6 +16,7 @@ from .errors import CertificateError, ExtendkitError, InputError, ResourceCapErr
 from .ground import (
     ConvexPartialFunction,
     PartialSetFunction,
+    is_json_int,
     parse_partial_function,
     parse_rational,
     serialize,
@@ -147,7 +149,7 @@ def cmd_approx(args) -> int:
 
 def _parse_at_set(text: str, m: int) -> int:
     doc = json.loads(text)
-    if not isinstance(doc, list) or not all(isinstance(i, int) for i in doc):
+    if not isinstance(doc, list) or not all(is_json_int(i) for i in doc):
         raise InputError(f"--at must be a JSON array of element indices, got {text!r}")
     if any(i < 0 or i >= m for i in doc):
         raise InputError(f"--at indices must lie in [0,{m})")
@@ -258,6 +260,12 @@ def _run_trial(table_path: str, klass: str, eps_str: str, seed: int):
     return _trial(table, klass, Fraction(eps_str), seed)
 
 
+def _pool_size(jobs: int, trials: int, cpus: int | None) -> int:
+    """Worker processes for ``test --jobs``: no more than the trials to run
+    or the CPUs to run them on (``cpus`` as os.cpu_count() gives it)."""
+    return min(jobs, trials, cpus or 1)
+
+
 def cmd_test(args) -> int:
     eps = Fraction(args.epsilon)
     table = oracle.parse_full_table(_read(args.oracle))
@@ -269,10 +277,11 @@ def cmd_test(args) -> int:
         _emit(to_jsonable(report))
         return EXIT_OK if report.verdict == "accept" else EXIT_REFUTED
     seeds = [args.seed + i for i in range(args.trials)]
-    if args.jobs > 1:
+    jobs = _pool_size(args.jobs, args.trials, os.cpu_count())
+    if jobs > 1:
         from multiprocessing import Pool
 
-        with Pool(args.jobs) as pool:
+        with Pool(jobs) as pool:
             reports = pool.starmap(
                 _run_trial,
                 [(args.oracle, args.klass, str(eps), s) for s in seeds],
@@ -321,6 +330,13 @@ def cmd_gen(args) -> int:
 
 
 # ---------------------------------------------------------------------------
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -400,7 +416,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--epsilon", required=True)
     sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
     sp.add_argument("--trials", type=int, default=1)
-    sp.add_argument("--jobs", type=int, default=1)
+    sp.add_argument(
+        "--jobs",
+        type=_positive_int,
+        default=1,
+        help="worker processes for --trials (at most the trials and the CPUs)",
+    )
     sp.set_defaults(fn=cmd_test)
 
     sp = sub.add_parser("oracle", help="full-domain LP ground truth (small m)")

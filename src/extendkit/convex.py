@@ -9,17 +9,36 @@ iff the roof equals the pinned value at every defined point. Outside the
 hull the canonical extension is the max over vertices (y, mu) of the dual
 {T_i . y + mu <= f_i} of x . y + mu, which needs vertex enumeration and is
 exponential in m (it is NP-hard in general), hence the dimension guard.
+
+One exact elimination routine, _eliminate (fraction-free Gauss-Jordan on
+integer rows), serves both the affine dimension and the square solves of
+vertex enumeration; the rows are scaled to integers once and rationals are
+formed only for the vertices that are kept.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import gcd
 from typing import Optional
 
 from . import lp
-from .errors import DegenerateHull, DimensionMismatch, TooLarge, ValueNotPositive
-from .ground import ONE, ZERO, ConvexPartialFunction, Rational
+from .errors import (
+    DegenerateHull,
+    DimensionMismatch,
+    InternalError,
+    TooLarge,
+    ValueNotPositive,
+)
+from .ground import (
+    ONE,
+    ZERO,
+    ConvexPartialFunction,
+    Rational,
+    denominator_lcm,
+    scaled_int,
+)
 
 EVAL_TILDE_MAX_DIM = 8
 
@@ -58,34 +77,53 @@ class ConvexViolation:
 
 
 def affine_dimension(points) -> int:
-    """Dimension of the affine hull, by exact rank of the difference set."""
+    """Dimension of the affine hull: the number of pivots the exact
+    elimination takes on the difference set."""
     pts = [tuple(Rational(c) for c in p) for p in points]
     if not pts:
         raise ValueError("need at least one point")
     base = pts[0]
-    rows = [[c - b for c, b in zip(p, base)] for p in pts[1:]]
-    return _rank(rows)
+    rows = [_integer_row([c - b for c, b in zip(p, base)]) for p in pts[1:]]
+    _d, pivots = _eliminate(rows, len(base))
+    return len(pivots)
 
 
-def _rank(rows) -> int:
-    rows = [list(r) for r in rows]
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    rank = 0
-    for col in range(ncols):
-        piv = next((i for i in range(rank, len(rows)) if rows[i][col] != 0), None)
-        if piv is None:
+def _integer_row(row) -> list[int]:
+    """The rational row scaled to integers by its common denominator."""
+    scale = denominator_lcm(row)
+    return [scaled_int(c, scale) for c in row]
+
+
+def _eliminate(rows: list[list[int]], ncols: int):
+    """Fraction-free Gauss-Jordan on integer rows, in place; returns
+    (d, pivots) with pivots the (row, column) pairs in pivot order.
+
+    Column c < ncols is pivoted on the first row not yet pivoted with a
+    nonzero entry there, and skipped when there is none. A pivot on
+    p = T[r][c] leaves the pivot row unchanged, sets every other row to
+    T[i][j] = (p*T[i][j] - T[i][c]*T[r][j]) // d and then d = p; the
+    division is exact (Bareiss 1968). So afterwards, for B the input's
+    submatrix on the pivot rows and columns and d = +-det B, the pivot rows
+    hold d * B^-1 times the input's pivot rows: each holds d in its own
+    pivot column, and every pivot column is zero in every other row.
+    """
+    d = 1
+    pivots = []
+    free = list(range(len(rows)))
+    for c in range(ncols):
+        r = next((i for i in free if rows[i][c]), None)
+        if r is None:
             continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        prow = rows[rank]
-        inv = ONE / prow[col]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col] != 0:
-                f = rows[i][col] * inv
-                rows[i] = [a - f * b for a, b in zip(rows[i], prow)]
-        rank += 1
-    return rank
+        free.remove(r)
+        prow = rows[r]
+        p = prow[c]
+        for i, row in enumerate(rows):
+            if i != r:
+                f = row[c]
+                rows[i] = [(p * a - f * b) // d for a, b in zip(row, prow)]
+        d = p
+        pivots.append((r, c))
+    return d, pivots
 
 
 def _check_dim(ch: ConvexPartialFunction, x) -> tuple:
@@ -110,7 +148,8 @@ def roof_value(ch: ConvexPartialFunction, x) -> Optional[Rational]:
     out = lp.solve(lp.ExactLP(names, tuple(cons), objective, lower=(ZERO,) * n))
     if isinstance(out, lp.Infeasible):
         return None
-    assert isinstance(out, lp.Optimal)
+    if not isinstance(out, lp.Optimal):
+        raise InternalError("internal error: a feasible roof LP has no optimum")
     return out.value
 
 
@@ -119,7 +158,11 @@ def extend_convex(ch: ConvexPartialFunction):
     never exceeds a pinned value, so only drops below can occur)."""
     for i, (vec, value) in enumerate(ch.points):
         roof = roof_value(ch, vec)
-        assert roof is not None and roof <= value
+        if roof is None or roof > value:
+            raise InternalError(
+                f"internal error: the roof at defined point {i} is missing or "
+                "exceeds its value"
+            )
         if roof < value:
             return ConvexViolation(i, vec, value, roof)
     return None  # extendible
@@ -144,7 +187,10 @@ def approx_convex(ch: ConvexPartialFunction, audit: bool = False):
             alpha = ratio
     if audit:
         lo, hi = bisect_approx_convex(ch, tol=Rational(1, 2**40))
-        assert lo <= alpha <= hi, "closed form escaped the bisection bracket"
+        if not lo <= alpha <= hi:
+            raise InternalError(
+                "internal error: closed form escaped the bisection bracket"
+            )
     return alpha
 
 
@@ -158,7 +204,8 @@ def feasible_at_alpha(ch: ConvexPartialFunction, alpha) -> bool:
     )
     for (vec, value), _ in zip(ch.points, scaled.points):
         roof = roof_value(scaled, vec)
-        assert roof is not None
+        if roof is None:
+            raise InternalError("internal error: a defined point left its own hull")
         if roof < value:
             return False
     return True
@@ -184,51 +231,58 @@ def bisect_approx_convex(ch: ConvexPartialFunction, tol) -> tuple[Rational, Rati
 def enumerate_dual_vertices(ch: ConvexPartialFunction) -> tuple[DualVertex, ...]:
     """All vertices of Q = {(y, mu) : T_i . y + mu <= f_i}: solve every
     (m+1)-subset of constraints as equalities, keep nonsingular feasible
-    solutions, deduplicate exact coordinates."""
+    solutions, deduplicate exact coordinates.
+
+    Each row (T_i, 1 | f_i) is scaled to integers a_i | b_i once. A subset
+    solves by _eliminate to (y, mu) = x / d with integers x and d > 0,
+    reduced by their gcd, which makes (x, d) canonical; row i holds at x / d
+    when a_i . x <= b_i * d. Rationals are formed only for the vertices
+    that are kept."""
     m, n = ch.m, len(ch.points)
     if affine_dimension(ch.vectors) < m:
         raise DegenerateHull(
             "the defined points span less than the ambient dimension; "
             "the dual polyhedron has no vertex (project to the affine hull)"
         )
-    rows = [tuple(vec) + (ONE,) for vec, _ in ch.points]
-    rhs = [v for _, v in ch.points]
-    found: dict[tuple, DualVertex] = {}
-    for subset in combinations(range(n), m + 1):
-        sol = _solve_square([rows[i] for i in subset], [rhs[i] for i in subset])
-        if sol is None:
+    k = m + 1
+    rows = [_integer_row(list(vec) + [ONE, value]) for vec, value in ch.points]
+    seen = set()
+    kept = []
+    for subset in combinations(range(n), k):
+        system = [rows[i] for i in subset]
+        d, pivots = _eliminate(system, k)
+        if len(pivots) < k:
+            continue  # singular
+        x = [0] * k
+        for r, c in pivots:
+            x[c] = system[r][k]
+        if d < 0:
+            x, d = [-v for v in x], -d
+        g = gcd(d, *x)
+        key = (tuple(v // g for v in x), d // g)
+        if key in seen:
             continue
-        y, mu = tuple(sol[:m]), sol[m]
-        key = y + (mu,)
-        if key in found:
+        seen.add(key)
+        x, d = key
+        if any(_dot(row, x) > row[k] * d for row in rows):
             continue
-        vals = [
-            sum((a * b for a, b in zip(rows[i], sol)), ZERO) for i in range(n)
-        ]
-        if any(v > r for v, r in zip(vals, rhs)):
-            continue
-        tight = tuple(i for i in range(n) if vals[i] == rhs[i])
-        found[key] = DualVertex(y, mu, tight)
-    assert found, "a full-dimensional hull guarantees at least one vertex"
-    return tuple(found[k] for k in sorted(found))
+        kept.append(key)
+    if not kept:
+        raise InternalError(
+            "internal error: a full-dimensional hull has no dual vertex"
+        )
+    vertices = []
+    for x, d in kept:
+        sol = tuple(Rational(v, d) for v in x)
+        tight = tuple(i for i, row in enumerate(rows) if _dot(row, x) == row[k] * d)
+        vertices.append(DualVertex(sol[:m], sol[m], tight))
+    vertices.sort(key=lambda v: v.y + (v.mu,))
+    return tuple(vertices)
 
 
-def _solve_square(rows, rhs):
-    """Exact solve of a square system; None when singular."""
-    k = len(rows)
-    a = [list(r) + [b] for r, b in zip(rows, rhs)]
-    for col in range(k):
-        piv = next((i for i in range(col, k) if a[i][col] != 0), None)
-        if piv is None:
-            return None
-        a[col], a[piv] = a[piv], a[col]
-        inv = ONE / a[col][col]
-        a[col] = [c * inv for c in a[col]]
-        for i in range(k):
-            if i != col and a[i][col] != 0:
-                f = a[i][col]
-                a[i] = [c - f * d for c, d in zip(a[i], a[col])]
-    return [a[i][k] for i in range(k)]
+def _dot(row, x) -> int:
+    """a_i . x for the integer row a_i | b_i (zip stops before b_i)."""
+    return sum(a * v for a, v in zip(row, x))
 
 
 def eval_tilde(ch: ConvexPartialFunction, x, max_dim: int = EVAL_TILDE_MAX_DIM):

@@ -3,6 +3,12 @@ JSON interchange format shared by every solver in the package.
 
 Rationals are gmpy2.mpq values (stdlib Fraction is the drop-in fallback):
 always in lowest terms, positive denominator, exact field arithmetic.
+The exact kernels (the simplex, the cover DPs, dual-vertex enumeration)
+do not add rationals in their inner loops: they scale their inputs once to
+integers over a common denominator with denominator_lcm() and scaled_int(),
+run on Python ints, and form rationals only when results are read out.
+Scaling by a positive integer keeps every comparison, so tie-breaks and
+outputs are the same as in rational arithmetic.
 Subsets of {0,...,m-1} are plain int bitmasks; Python ints are
 arbitrary-precision, so the same representation covers m <= 63 and beyond
 at O(m/word) per operation.
@@ -13,6 +19,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
+from math import lcm
 from typing import Iterable
 
 from .errors import (
@@ -51,6 +58,21 @@ def parse_rational(text: str) -> Rational:
             raise MalformedRational(f"zero denominator: {text!r}")
         return Rational(int(p), int(q))
     return Rational(int(text))
+
+
+def denominator_lcm(values) -> int:
+    """The least common multiple of the values' denominators (1 for none)."""
+    out = 1
+    for v in values:
+        d = int(v.denominator)
+        if d != 1:
+            out = lcm(out, d)
+    return out
+
+
+def scaled_int(value, scale: int) -> int:
+    """value * scale as an int, for a scale its denominator divides."""
+    return int(value.numerator) * (scale // int(value.denominator))
 
 
 def format_rational(value) -> str:
@@ -198,8 +220,13 @@ class ConvexPartialFunction:
 # JSON interchange
 
 
+def is_json_int(value) -> bool:
+    """An integer from a JSON document; JSON true/false are not integers."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _parse_set_array(arr, m: int) -> int:
-    if not isinstance(arr, list) or not all(isinstance(i, int) for i in arr):
+    if not isinstance(arr, list) or not all(is_json_int(i) for i in arr):
         raise MalformedDocument(f"set must be an array of integers: {arr!r}")
     if any(b <= a for a, b in zip(arr, arr[1:])):
         raise MalformedDocument(f"set indices must be strictly increasing: {arr!r}")
@@ -229,7 +256,7 @@ def parse_partial_function(data, klass: str | None = None):
 
     if "m" in doc:
         m = doc["m"]
-        if not isinstance(m, int):
+        if not is_json_int(m):
             raise MalformedDocument(f'"m" must be an integer, got {m!r}')
         pts = doc.get("points")
         if not isinstance(pts, list):
@@ -238,7 +265,7 @@ def parse_partial_function(data, klass: str | None = None):
         for entry in pts:
             if not isinstance(entry, dict) or "set" not in entry or "value" not in entry:
                 raise MalformedDocument(f"point must have 'set' and 'value': {entry!r}")
-            mask = _parse_set_array(entry["set"], m if isinstance(m, int) else 0)
+            mask = _parse_set_array(entry["set"], m)
             points.append((mask, parse_rational(entry["value"])))
         psf = PartialSetFunction(m, tuple(points))
         if klass in NONNEGATIVE_CLASSES:
@@ -247,7 +274,7 @@ def parse_partial_function(data, klass: str | None = None):
 
     if "dim" in doc:
         m = doc["dim"]
-        if not isinstance(m, int):
+        if not is_json_int(m):
             raise MalformedDocument(f'"dim" must be an integer, got {m!r}')
         pts = doc.get("points")
         if not isinstance(pts, list):

@@ -27,7 +27,7 @@ from math import lcm
 from typing import Optional
 
 from .errors import DimensionMismatch, InternalError
-from .ground import ONE, ZERO, Rational
+from .ground import ONE, ZERO, Rational, denominator_lcm, scaled_int
 
 DEBUG = bool(os.environ.get("EXTENDKIT_DEBUG_LP"))
 
@@ -144,20 +144,6 @@ def verify_farkas(lp: ExactLP, witness: FarkasWitness) -> bool:
 
 # ---------------------------------------------------------------------------
 # simplex internals
-
-
-def _denominator_lcm(values) -> int:
-    out = 1
-    for v in values:
-        d = int(v.denominator)
-        if d != 1:
-            out = lcm(out, d)
-    return out
-
-
-def _scaled(value, scale: int) -> int:
-    """value * scale as an int, for a scale its denominator divides."""
-    return int(value.numerator) * (scale // int(value.denominator))
 
 
 class _Tableau:
@@ -293,16 +279,16 @@ def solve(lp: ExactLP):
             terms.append((j, a))
             if lower[j]:
                 b -= a * lower[j]
-        s = _denominator_lcm([a for _j, a in terms] + [b])
+        s = denominator_lcm([a for _j, a in terms] + [b])
         flip = 1
-        b = _scaled(b, s)
+        b = scaled_int(b, s)
         if b < 0 or (b == 0 and rel == GE):
             flip = -1
             b = -b
             rel = {LE: GE, GE: LE, EQ: EQ}[rel]
         cc = {}
         for j, a in terms:
-            a = flip * _scaled(a, s)
+            a = flip * scaled_int(a, s)
             loc = col_of[j]
             cc[loc[1]] = a
             if loc[0] == "split":
@@ -401,14 +387,14 @@ def solve(lp: ExactLP):
     coeffs, direction = lp.objective
     sign = ONE if direction == "min" else -ONE
     signed = [sign * a for a in coeffs]
-    cost_l = _denominator_lcm(signed)
+    cost_l = denominator_lcm(signed)
     cost = [0] * ncols
     const_term = ZERO
     for j, a in enumerate(signed):
         if not a:
             continue
         loc = col_of[j]
-        cost[loc[1]] = _scaled(a, cost_l)
+        cost[loc[1]] = scaled_int(a, cost_l)
         if loc[0] == "shift":
             const_term += a * lower[j]
         else:
@@ -494,26 +480,41 @@ def rel_of_solver_row(lp, i):
     return LE  # upper-bound rows
 
 
+def _holds(lhs, rel, rhs) -> bool:
+    return lhs <= rhs if rel == LE else lhs >= rhs if rel == GE else lhs == rhs
+
+
+def _dot(coeffs, vals):
+    return sum((a * v for a, v in zip(coeffs, vals) if a), ZERO)
+
+
 def _assert_satisfies(lp, assignment):
+    """Every constraint row, then each variable's bounds, hold at the
+    assignment."""
     vals = [assignment[name] for name in lp.variables]
-    for coeffs, rel, rhs in lp.expanded_rows():
-        s = ZERO
-        for a, v in zip(coeffs, vals):
-            if a:
-                s += a * v
-        ok = s <= rhs if rel == LE else s >= rhs if rel == GE else s == rhs
-        if not ok:
-            raise InternalError("internal error: simplex returned an infeasible point")
+    nv = len(vals)
+    ok = (
+        all(_holds(_dot(c.coeffs, vals), c.relation, c.rhs) for c in lp.constraints)
+        and all(lo is None or v >= lo for v, lo in zip(vals, lp.lower or (None,) * nv))
+        and all(hi is None or v <= hi for v, hi in zip(vals, lp.upper or (None,) * nv))
+    )
+    if not ok:
+        raise InternalError("internal error: simplex returned an infeasible point")
 
 
 def _assert_ray(lp, ray):
+    """The ray improves the objective and lies in the recession cone of
+    every constraint row and every bound."""
     vals = [ray[name] for name in lp.variables]
+    nv = len(vals)
     coeffs, direction = lp.objective
-    gain = sum((a * v for a, v in zip(coeffs, vals)), ZERO)
+    gain = _dot(coeffs, vals)
     if not ((gain < 0) if direction == "min" else (gain > 0)):
         raise InternalError("internal error: ray does not improve the objective")
-    for rcoeffs, rel, _rhs in lp.expanded_rows():
-        s = sum((a * v for a, v in zip(rcoeffs, vals)), ZERO)
-        ok = s <= 0 if rel == LE else s >= 0 if rel == GE else s == 0
-        if not ok:
-            raise InternalError("internal error: ray leaves the feasible region")
+    ok = (
+        all(_holds(_dot(c.coeffs, vals), c.relation, 0) for c in lp.constraints)
+        and all(lo is None or v >= 0 for v, lo in zip(vals, lp.lower or (None,) * nv))
+        and all(hi is None or v <= 0 for v, hi in zip(vals, lp.upper or (None,) * nv))
+    )
+    if not ok:
+        raise InternalError("internal error: ray leaves the feasible region")

@@ -14,8 +14,15 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional
 
-from .errors import ValueNotPositive
-from .ground import PartialSetFunction, Rational, elements, mask_of
+from .errors import InternalError, ValueNotPositive
+from .ground import (
+    PartialSetFunction,
+    Rational,
+    denominator_lcm,
+    elements,
+    mask_of,
+    scaled_int,
+)
 
 MONOTONE = "monotone"
 EXACT_UNION = "exact_union"
@@ -110,36 +117,41 @@ def min_cover_value(
             return None
         best_mask, best = min(h.points, key=lambda p: (p[1], p[0]))
         return best, (best_mask,)
-    usable = []  # (footprint inside target, cost, original mask)
-    for mask, value in h.points:
-        if variant == EXACT_UNION and mask & ~target:
-            continue
-        foot = mask & target
-        usable.append((foot, value, mask))
-
-    # dp over submasks of target, re-indexed to the target's own elements
+    # the DP runs on the values scaled to integers by their common
+    # denominator scale; scaling by scale > 0 keeps every comparison
+    scale = denominator_lcm(value for _mask, value in h.points)
     elems = elements(target)
     t = len(elems)
     pos = {e: i for i, e in enumerate(elems)}
-    packed = []
-    for foot, value, mask in usable:
+
+    def pack(mask):
         p = 0
-        for e in elements(foot):
+        for e in elements(mask & target):
             p |= 1 << pos[e]
-        packed.append((p, value, mask))
+        return p
+
+    # dp over submasks of target, re-indexed to the target's own elements;
+    # containing[i] lists the usable sets whose footprint holds element i,
+    # in point order
+    containing = [[] for _ in range(t)]
+    for mask, value in h.points:
+        if variant == EXACT_UNION and mask & ~target:
+            continue
+        p = pack(mask)
+        entry = (p, scaled_int(value, scale), mask)
+        for i in range(t):
+            if p >> i & 1:
+                containing[i].append(entry)
 
     size = 1 << t
     dp: list = [None] * size
-    dp[0] = Rational(0)
+    dp[0] = 0
     choice = [None] * size
     # each step covers the lowest uncovered element
     for mask in range(1, size):
-        low = mask & -mask
         best = None
         best_set = None
-        for p, value, orig in packed:
-            if not p & low:
-                continue
+        for p, value, orig in containing[(mask & -mask).bit_length() - 1]:
             rest = dp[mask & ~p]
             if rest is None:
                 continue
@@ -156,11 +168,8 @@ def min_cover_value(
     while mask:
         orig = choice[mask]
         cover.append(orig)
-        p = 0
-        for e in elements(orig & target):
-            p |= 1 << pos[e]
-        mask &= ~p
-    return dp[size - 1], tuple(cover)
+        mask &= ~pack(orig)
+    return Rational(dp[size - 1], scale), tuple(cover)
 
 
 def _decide(h: PartialSetFunction, variant: str):
@@ -169,11 +178,16 @@ def _decide(h: PartialSetFunction, variant: str):
     )
     for target, value in h.points:
         result = min_cover_value(h, target, variant)
-        assert result is not None  # the self-cover always exists
+        if result is None:  # the self-cover always exists
+            raise InternalError(
+                "internal error: no cover found for the defined set "
+                f"{sorted(elements(target))}"
+            )
         cost, cover = result
         if cost < value:
             violation = CoverViolation(target, cover, cost, value)
-            assert violation.check(h, variant)
+            if not violation.check(h, variant):
+                raise InternalError("internal error: cover violation does not verify")
             return NotExtendible(violation)
     return Extendible()
 

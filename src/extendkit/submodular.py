@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from math import gcd
 from typing import Optional
 
 from . import lp
@@ -35,9 +34,12 @@ from .ground import (
     ZERO,
     PartialSetFunction,
     Rational,
+    denominator_lcm,
     elements,
+    is_json_int,
     is_subset,
     lex_key,
+    scaled_int,
 )
 
 DEFAULT_CLOSURE_CAP = 50_000
@@ -176,12 +178,18 @@ def parse_square_certificate(data, context: PartialSetFunction | None = None):
     if not isinstance(doc, dict) or "tuples" not in doc:
         raise MalformedDocument('certificate document needs a "tuples" array')
     m = doc.get("m", context.m if context is not None else None)
-    if not isinstance(m, int):
+    if not is_json_int(m):
         raise MalformedDocument('certificate document needs an integer "m"')
     tuples = []
     for entry in doc["tuples"]:
         if not isinstance(entry, dict) or "a" not in entry or "b" not in entry:
             raise MalformedDocument(f"tuple entry must have 'a' and 'b': {entry!r}")
+        for key in ("a", "b"):
+            arr = entry[key]
+            if not isinstance(arr, list) or not all(is_json_int(i) for i in arr):
+                raise MalformedDocument(
+                    f"'{key}' must be an array of integers: {arr!r}"
+                )
         a = sum(1 << i for i in entry["a"])
         b = sum(1 << i for i in entry["b"])
         tuples.append((square(a, b), int(entry.get("count", 1))))
@@ -345,12 +353,10 @@ def extract_square_certificate(
         pairs.append(((a, b), lam))
     if not pairs:
         raise WitnessInvalid("witness places no weight on submodularity rows")
-    scale = 1
-    for _, lam in pairs:
-        scale = scale * lam.denominator // gcd(scale, lam.denominator)
+    scale = denominator_lcm(lam for _, lam in pairs)
     tuples = []
     for (a, b), lam in pairs:
-        count = int(lam * scale)
+        count = scaled_int(lam, scale)
         if a != b:  # trivial squares are pruned from extractor output
             tuples.append((square(a, b), count))
     cert = SquareCertificate(h.m, tuple(tuples), context=h)

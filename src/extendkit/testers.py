@@ -17,8 +17,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .errors import EpsilonOutOfRange, TooLarge
-from .ground import ONE, ZERO, Rational, elements, popcount, submasks
+from .errors import EpsilonOutOfRange, InternalError, TooLarge
+from .ground import (
+    ONE,
+    ZERO,
+    Rational,
+    denominator_lcm,
+    elements,
+    popcount,
+    scaled_int,
+    submasks,
+)
 
 ONESIDED = "onesided"
 TWOSIDED = "twosided"
@@ -231,28 +240,20 @@ def min_union_cover(values: dict[int, Rational], target: int, available):
         # families have r >= 1 sets and every set is a subset of the
         # target; only the empty set itself can cover the empty target
         return (values[0], (0,)) if 0 in available else None
-    elems = elements(target)
-    t = len(elems)
+    t = popcount(target)
     full = (1 << t) - 1
-    pos = {e: i for i, e in enumerate(elems)}
-
-    def pack(mask):
-        p = 0
-        for e in elements(mask):
-            p |= 1 << pos[e]
-        return p
-
-    unpack = {}
+    # psi[p]: the cheapest available set whose footprint is a superset of p,
+    # on the values scaled to integers by their common denominator;
+    # submasks() ascends, so the p-th subset of target packs to p
+    subs = [
+        (p, sub) for p, sub in enumerate(submasks(target)) if p and sub in available
+    ]
+    scale = denominator_lcm(values[sub] for _p, sub in subs)
     psi: list = [None] * (full + 1)
     arg: list = [None] * (full + 1)
-    for sub in submasks(target):
-        if sub and sub in available:
-            p = pack(sub)
-            v = values[sub]
-            if psi[p] is None or v < psi[p]:
-                psi[p] = v
-                arg[p] = sub
-            unpack[p] = sub
+    for p, sub in subs:
+        psi[p] = scaled_int(values[sub], scale)
+        arg[p] = sub
     for i in range(t):
         bit = 1 << i
         for p in range(full, -1, -1):
@@ -265,18 +266,24 @@ def min_union_cover(values: dict[int, Rational], target: int, available):
 
     dp: list = [None] * (full + 1)
     par: list = [None] * (full + 1)
-    dp[0] = ZERO
+    dp[0] = 0
     for mask in range(1, full + 1):
+        # the footprints holding the lowest element of mask, in descending
+        # order: low | every submask of the rest
         low = mask & -mask
+        rest = mask ^ low
         best = None
         best_p = None
-        sub = mask
-        while sub:
-            if sub & low and psi[sub] is not None and dp[mask ^ sub] is not None:
-                cand = dp[mask ^ sub] + psi[sub]
+        sub = rest
+        while True:
+            p = sub | low
+            if psi[p] is not None and dp[rest ^ sub] is not None:
+                cand = dp[rest ^ sub] + psi[p]
                 if best is None or cand < best:
-                    best, best_p = cand, sub
-            sub = (sub - 1) & mask
+                    best, best_p = cand, p
+            if not sub:
+                break
+            sub = (sub - 1) & rest
         dp[mask] = best
         par[mask] = best_p
     if dp[full] is None:
@@ -287,7 +294,7 @@ def min_union_cover(values: dict[int, Rational], target: int, available):
         p = par[mask]
         cover.append(arg[p])
         mask ^= p
-    return dp[full], tuple(cover)
+    return Rational(dp[full], scale), tuple(cover)
 
 
 def fractional_cover_min(values: dict[int, Rational], target: int):
@@ -301,19 +308,17 @@ def fractional_cover_min(values: dict[int, Rational], target: int):
     if t == 0:
         return ZERO, ()
     full = (1 << t) - 1
-    pos = {e: i for i, e in enumerate(elems)}
+    # submasks() ascends, so the p-th subset of target packs to p
     packed_value: dict[int, Rational] = {}
     packed_orig: dict[int, int] = {}
-    for sub in submasks(target):
-        if not sub:
-            continue
-        p = 0
-        for e in elements(sub):
-            p |= 1 << pos[e]
-        v = values[sub]
-        if p not in packed_value or v < packed_value[p]:
-            packed_value[p] = v
+    for p, sub in enumerate(submasks(target)):
+        if p:
+            packed_value[p] = values[sub]
             packed_orig[p] = sub
+    # the separation runs on integers over a common denominator of the
+    # values and the dual solution
+    value_scale = denominator_lcm(packed_value.values())
+    scaled_value = [(p, scaled_int(v, value_scale)) for p, v in packed_value.items()]
 
     names = tuple(f"b{i}" for i in range(t))
     generated: list[int] = [1 << i for i in range(t)]
@@ -335,15 +340,19 @@ def fractional_cover_min(values: dict[int, Rational], target: int):
                 lower=(ZERO,) * t,
             )
         )
-        assert isinstance(out, lp.Optimal)
+        if not isinstance(out, lp.Optimal):
+            raise InternalError("internal error: the cover dual LP has no optimum")
         beta = [out.assignment[f"b{i}"] for i in range(t)]
-        sums: list = [ZERO] * (full + 1)
+        scale = math.lcm(value_scale, denominator_lcm(beta))
+        beta = [scaled_int(b, scale) for b in beta]
+        up = scale // value_scale
+        sums: list = [0] * (full + 1)
         for p in range(1, full + 1):
             low = p & -p
             sums[p] = sums[p ^ low] + beta[low.bit_length() - 1]
-        worst, worst_p = ZERO, None
-        for p, v in packed_value.items():
-            slack = sums[p] - v
+        worst, worst_p = 0, None
+        for p, v in scaled_value:
+            slack = sums[p] - v * up
             if slack > worst:
                 worst, worst_p = slack, p
         if worst_p is None:
@@ -365,7 +374,10 @@ def fractional_cover_min(values: dict[int, Rational], target: int):
     opt = lp.solve(
         lp.ExactLP(names_p, tuple(cons), objective, lower=(ZERO,) * len(cols))
     )
-    assert isinstance(opt, lp.Optimal) and opt.value == out.value
+    if not (isinstance(opt, lp.Optimal) and opt.value == out.value):
+        raise InternalError(
+            "internal error: the primal cover LP does not match its dual optimum"
+        )
     weights = tuple(
         (packed_orig[p], opt.assignment[f"a{j}"])
         for j, p in enumerate(cols)

@@ -294,3 +294,50 @@ def test_approx_subadditive_empty_instance(tmp_path):
     out = run(["approx", "--class", "subadditive", "--input", str(path)])
     assert out.returncode == 0
     assert json.loads(out.stdout) == {"alpha": "1", "witness": None}
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        '{"m":3,"points":[{"set":[false,true],"value":"1"}]}',
+        '{"m":true,"points":[{"set":[0],"value":"1"}]}',
+        '{"dim":true,"points":[{"x":["0"],"value":"1"}]}',
+    ],
+)
+def test_json_booleans_are_not_integers(tmp_path, doc):
+    path = tmp_path / "bool.json"
+    path.write_text(doc)
+    klass = "convex" if '"dim"' in doc else "subadditive"
+    out = run(["extend", "--class", klass, "--input", str(path)])
+    assert out.returncode == 2 and out.stdout == ""
+    assert "input error" in out.stderr and "Traceback" not in out.stderr
+
+
+def test_certificate_booleans_are_not_integers(files, tmp_path):
+    for cert in (
+        '{"m":true,"tuples":[{"a":[0],"b":[1],"count":1}]}',
+        '{"m":2,"tuples":[{"a":[false],"b":[1],"count":1}]}',
+        '{"m":2,"tuples":[{"a":["x"],"b":[1],"count":1}]}',
+    ):
+        path = tmp_path / "cert.json"
+        path.write_text(cert)
+        out = run(["verify-cert", "--input", files["cube.json"], "--cert", str(path)])
+        assert out.returncode == 2 and out.stdout == ""
+        assert "Traceback" not in out.stderr
+
+
+def test_jobs_below_one_is_a_usage_error(files):
+    out = run(
+        ["test", "--class", "subadditive", "--oracle", files["modular.json"],
+         "--epsilon", "1/4", "--trials", "2", "--jobs", "0"]
+    )
+    assert out.returncode == 2 and out.stdout == ""
+
+
+def test_pool_size_clamps_jobs():
+    from extendkit.cli import _pool_size
+
+    assert _pool_size(10**6, 4, 2) == 2  # the CPUs
+    assert _pool_size(10**6, 3, 64) == 3  # the trials
+    assert _pool_size(2, 8, 64) == 2
+    assert _pool_size(8, 8, None) == 1  # os.cpu_count() may not know

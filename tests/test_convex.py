@@ -1,11 +1,13 @@
 """Convex roofs, extension, factor, dual vertices, canonical extension."""
 
 import random
+from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from extendkit import convex as cx
-from extendkit.errors import DegenerateHull, ValueNotPositive
+from extendkit.errors import DegenerateHull, InternalError, ValueNotPositive
 from extendkit.ground import ConvexPartialFunction, Rational as Q
 
 
@@ -154,3 +156,107 @@ def test_bisection_matches_closed_form():
         alpha = cx.approx_convex(h)
         lo, hi = cx.bisect_approx_convex(h, Q(1, 2**40))
         assert lo <= alpha <= hi and hi - lo <= Q(1, 2**40)
+
+
+def _reference_solve(rows):
+    """Rational Gauss-Jordan with row swaps on the square system rows =
+    [A | b]: (solution, sign of det A), or (None, 0) when singular."""
+    a = [[Fraction(c) for c in r] for r in rows]
+    k = len(a)
+    sign = 1
+    for col in range(k):
+        piv = next((i for i in range(col, k) if a[i][col] != 0), None)
+        if piv is None:
+            return None, 0
+        if piv != col:
+            a[col], a[piv] = a[piv], a[col]
+            sign = -sign
+        if a[col][col] < 0:
+            sign = -sign
+        inv = 1 / a[col][col]
+        a[col] = [c * inv for c in a[col]]
+        for i in range(k):
+            if i != col and a[i][col] != 0:
+                f = a[i][col]
+                a[i] = [c - f * d for c, d in zip(a[i], a[col])]
+    return tuple(a[i][k] for i in range(k)), sign
+
+
+def _reference_rank(rows):
+    a = [[Fraction(c) for c in r] for r in rows]
+    rank = 0
+    for col in range(len(a[0]) if a else 0):
+        piv = next((i for i in range(rank, len(a)) if a[i][col] != 0), None)
+        if piv is None:
+            continue
+        a[rank], a[piv] = a[piv], a[rank]
+        for i in range(len(a)):
+            if i != rank and a[i][col] != 0:
+                f = a[i][col] / a[rank][col]
+                a[i] = [c - f * d for c, d in zip(a[i], a[rank])]
+        rank += 1
+    return rank
+
+
+def _reference_vertices(points, m):
+    """(y, mu, tight) of every vertex, sorted by (y, mu), in Fractions;
+    also the signs of the determinants met (0 for a singular subset)."""
+    rows = [[Fraction(c) for c in vec] + [1, Fraction(v)] for vec, v in points]
+    found = {}
+    signs = set()
+    for subset in combinations(range(len(rows)), m + 1):
+        sol, sign = _reference_solve([rows[i] for i in subset])
+        signs.add(sign)
+        if sol is None or sol in found:
+            continue
+        lhs = [sum(a * x for a, x in zip(r, sol)) for r in rows]
+        if any(v > r[-1] for v, r in zip(lhs, rows)):
+            continue
+        found[sol] = tuple(i for i, r in enumerate(rows) if lhs[i] == r[-1])
+    return [(k[:m], k[m], found[k]) for k in sorted(found)], signs
+
+
+def test_dual_vertices_match_rational_reference():
+    """The fraction-free enumeration against a rational elimination, in
+    dimensions 1-3 with negative and fractional coordinates; the instances
+    include singular subsets and negative determinants."""
+    rng = random.Random(53)
+    signs_seen = set()
+    degenerate = 0
+    for _ in range(60):
+        m = rng.randint(1, 3)
+        vecs = set()
+        while len(vecs) < m + rng.randint(1, 3):
+            vecs.add(
+                tuple(Q(rng.randint(-4, 4), rng.choice((1, 2, 3))) for _ in range(m))
+            )
+        vecs = sorted(vecs)
+        if rng.random() < 0.5:  # a midpoint makes some subsets singular
+            mid = tuple((a + b) / 2 for a, b in zip(vecs[0], vecs[1]))
+            if mid not in vecs:
+                vecs.append(mid)
+        ch = ConvexPartialFunction(
+            m, tuple((v, Q(rng.randint(-5, 5), rng.choice((1, 2, 5)))) for v in vecs)
+        )
+        diffs = [[a - b for a, b in zip(v, ch.vectors[0])] for v in ch.vectors[1:]]
+        assert cx.affine_dimension(ch.vectors) == _reference_rank(diffs)
+        if _reference_rank(diffs) < m:
+            degenerate += 1
+            with pytest.raises(DegenerateHull):
+                cx.enumerate_dual_vertices(ch)
+            continue
+        want, signs = _reference_vertices(ch.points, m)
+        signs_seen |= signs
+        got = cx.enumerate_dual_vertices(ch)
+        assert [(v.y, v.mu, v.tight) for v in got] == want
+    assert signs_seen == {-1, 0, 1}
+    assert degenerate < 30
+
+
+def test_convex_self_checks_raise_internal_error(monkeypatch):
+    monkeypatch.setattr(cx, "roof_value", lambda ch, x: Q(10))
+    with pytest.raises(InternalError):
+        cx.extend_convex(KINK)
+    monkeypatch.setattr(cx, "roof_value", lambda ch, x: None)
+    with pytest.raises(InternalError):
+        cx.feasible_at_alpha(KINK, 2)

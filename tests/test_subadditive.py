@@ -1,12 +1,17 @@
 """Cover DP, subadditive extension decisions, exact factor, gadgets."""
 
 import random
+import subprocess
+import sys
+from fractions import Fraction
+from itertools import combinations
+from math import lcm
 
 import pytest
 
 from extendkit import subadditive as sub
-from extendkit.errors import ValueNotPositive
-from extendkit.ground import PartialSetFunction, Rational as Q, mask_of
+from extendkit.errors import InternalError, ValueNotPositive
+from extendkit.ground import PartialSetFunction, Rational as Q, mask_of, serialize
 
 
 def psf(m, *pairs):
@@ -181,3 +186,92 @@ def test_empty_set_positive_value_allowed():
     out = sub.extend_monotone_subadditive(h)
     assert isinstance(out, sub.NotExtendible)
     assert out.violation.target == 0
+
+
+def _bruteforce_min_cover(points, target, variant):
+    """Least Fraction sum over every nonempty subfamily of usable sets whose
+    union covers target (monotone) or equals it (exact union)."""
+    usable = [
+        (mask, Fraction(v))
+        for mask, v in points
+        if variant == sub.MONOTONE or not mask & ~target
+    ]
+    best = None
+    for r in range(1, len(usable) + 1):
+        for fam in combinations(usable, r):
+            union = 0
+            for mask, _v in fam:
+                union |= mask
+            exact = variant == sub.MONOTONE or union == target
+            if union & target == target and exact:
+                cost = sum((v for _mask, v in fam), Fraction(0))
+                if best is None or cost < best:
+                    best = cost
+    return best
+
+
+@pytest.mark.parametrize("variant", [sub.MONOTONE, sub.EXACT_UNION])
+def test_min_cover_value_matches_bruteforce_coprime_denominators(variant):
+    """The integer DP against Fraction brute force, with denominators 3, 5,
+    7 and 11, so the common denominator exceeds every single one."""
+    rng = random.Random(41)
+    wide = 0
+    for _ in range(60):
+        m = rng.randint(2, 4)
+        masks = rng.sample(range(1 << m), rng.randint(1, min(7, 1 << m)))
+        h = PartialSetFunction(
+            m,
+            tuple((s, Q(rng.randint(0, 12), rng.choice((3, 5, 7, 11)))) for s in masks),
+        )
+        wide += lcm(*(int(v.denominator) for _s, v in h.points)) > 11
+        for target in {rng.randrange(1 << m), *masks}:
+            want = _bruteforce_min_cover(h.points, target, variant)
+            got = sub.min_cover_value(h, target, variant)
+            if want is None:
+                assert got is None
+                continue
+            cost, cover = got
+            assert cost == want
+            values = h.as_dict()
+            assert sum((Fraction(values[c]) for c in cover), Fraction(0)) == want
+            union = 0
+            for c in cover:
+                union |= c
+            assert union & target == target
+            if variant == sub.EXACT_UNION:
+                assert union == target
+    assert wide >= 30
+
+
+def test_decide_raises_internal_error_on_corrupted_cover(monkeypatch, tmp_path):
+    h = psf(2, ([0], 1), ([1], 1), ([0, 1], 3))
+    # a cover that claims cost 0 for the target itself does not verify
+    monkeypatch.setattr(sub, "min_cover_value", lambda h, t, variant: (Q(0), (t,)))
+    with pytest.raises(InternalError):
+        sub.extend_monotone_subadditive(h)
+    monkeypatch.setattr(sub, "min_cover_value", lambda h, t, variant: None)
+    with pytest.raises(InternalError):
+        sub.extend_general_subadditive(h)
+
+    path = tmp_path / "h.json"
+    path.write_text(serialize(h))
+    from extendkit import cli
+
+    assert cli.main(["extend", "--class", "subadditive", "--input", str(path)]) == 2
+
+
+def test_corrupted_cover_exits_2_under_python_O(tmp_path):
+    path = tmp_path / "h.json"
+    path.write_text(serialize(psf(2, ([0], 1), ([1], 1), ([0, 1], 3))))
+    code = (
+        "import sys\n"
+        "from extendkit import cli, subadditive\n"
+        "subadditive.min_cover_value = lambda h, t, variant: None\n"
+        "sys.exit(cli.main(['extend', '--class', 'subadditive', '--input', "
+        f"{str(path)!r}]))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True
+    )
+    assert out.returncode == 2 and out.stdout == ""
+    assert "internal error" in out.stderr

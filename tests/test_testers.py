@@ -209,15 +209,24 @@ def test_nonmonotone_queries_stay_in_band():
 
 
 def test_min_union_cover_matches_bruteforce():
+    """The integer DP against Fraction brute force, on denominators 1-11
+    (coprime 3, 5, 7, 11 among them, so the common denominator exceeds
+    every single one) and on subfamilies of available sets."""
     from itertools import combinations
 
     rng = random.Random(19)
-    for _ in range(40):
+    for trial in range(80):
         t = rng.randint(1, 4)
         target = (1 << t) - 1
-        values = {s: Q(rng.randint(0, 6), rng.randint(1, 2)) for s in range(1 << t)}
-        got = ts.min_union_cover(values, target, set(values.keys()))
-        subsets = [s for s in range(1, 1 << t)]
+        values = {
+            s: Q(rng.randint(0, 12), rng.choice((1, 2, 3, 5, 7, 11)))
+            for s in range(1 << t)
+        }
+        available = set(values)
+        if trial >= 40:  # some subsets are not available
+            available = {s for s in values if rng.random() < 0.6}
+        got = ts.min_union_cover(values, target, available)
+        subsets = [s for s in range(1, 1 << t) if s in available]
         best = None
         for r in range(1, len(subsets) + 1):
             for fam in combinations(subsets, r):
@@ -225,12 +234,22 @@ def test_min_union_cover_matches_bruteforce():
                 for s in fam:
                     u |= s
                 if u == target:
-                    c = sum((values[s] for s in fam), Q(0))
+                    c = sum((Fraction(values[s]) for s in fam), Fraction(0))
                     if best is None or c < best:
                         best = c
             if r >= t:
                 break  # covers larger than t sets are never cheaper here
+        if best is None:
+            assert got is None
+            continue
         assert got is not None and got[0] == best
+        cost, cover = got
+        u = 0
+        for s in cover:
+            assert s in available
+            u |= s
+        assert u == target
+        assert sum((Fraction(values[s]) for s in cover), Fraction(0)) == best
 
 
 def test_fractional_cover_min_matches_direct_lp():
@@ -238,10 +257,13 @@ def test_fractional_cover_min_matches_direct_lp():
     from extendkit.ground import ONE, ZERO, submasks
 
     rng = random.Random(29)
-    for _ in range(20):
+    for _ in range(30):
         t = rng.randint(1, 4)
         target = (1 << t) - 1
-        values = {s: Q(rng.randint(0, 8), rng.randint(1, 2)) for s in range(1 << t)}
+        values = {
+            s: Q(rng.randint(0, 8), rng.choice((1, 2, 3, 5, 7, 11)))
+            for s in range(1 << t)
+        }
         got, weights = ts.fractional_cover_min(values, target)
         subs = [s for s in submasks(target) if s]
         cons = []
