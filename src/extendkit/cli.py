@@ -174,7 +174,7 @@ def cmd_eval(args) -> int:
         if out is None:
             _emit({"status": "uncoverable", "value": None})
             return EXIT_OK
-        value, weights = out
+        value, weights, _vector = out
         _emit(
             {
                 "status": "ok",
@@ -272,7 +272,7 @@ def cmd_test(args) -> int:
     if any(v < 0 for v in table.values):
         raise InputError("tester oracles must be nonnegative")
     fn = _TESTERS[args.klass]
-    if args.trials <= 1:
+    if args.trials == 1:
         report = fn(testers.FunctionOracle.from_table(table), eps, args.seed)
         _emit(to_jsonable(report))
         return EXIT_OK if report.verdict == "accept" else EXIT_REFUTED
@@ -415,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--oracle", required=True, help="full table JSON path")
     sp.add_argument("--epsilon", required=True)
     sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    sp.add_argument("--trials", type=int, default=1)
+    sp.add_argument("--trials", type=_positive_int, default=1)
     sp.add_argument(
         "--jobs",
         type=_positive_int,

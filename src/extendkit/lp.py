@@ -8,7 +8,7 @@ T = D * B^-1 [A | b] over one common denominator D = det B > 0. A pivot on
 p = T[r][c] sets T[i][j] = (p*T[i][j] - T[i][c]*T[r][j]) // D and D = p; the
 division is exact (Edmonds 1967, Bareiss 1968), so the simplex takes no gcd.
 Rationals are formed only when an assignment, an optimal value, a ray or a
-Farkas witness is read out.
+set of multipliers is read out.
 
 Farkas convention: a witness assigns one multiplier per *expanded* row
 (declared constraints, then lower-bound rows in variable order, then
@@ -16,6 +16,14 @@ upper-bound rows in variable order). Rows are oriented "<=" for the
 combination: "<=" rows enter as-is, ">=" rows enter negated, "=" rows
 enter as-is with a free-sign multiplier; inequality multipliers must be
 nonnegative. A valid witness combines rows to 0 <= c with c < 0.
+
+Dual convention: an Optimal carries ``dual``, multipliers in the same order,
+orientation and signs, which combine the rows into the bound the optimum
+meets: c . x <= value for "max", -c . x <= -value for "min". So no feasible
+point beats the value, and the assignment attains it. Both multiplier sets
+are read from row 0 of the final tableau, in the slack and artificial
+columns (phase 1 for a witness, phase 2 for a dual), and solve() checks
+each exactly before returning it.
 """
 
 from __future__ import annotations
@@ -97,6 +105,7 @@ class FarkasWitness:
 class Optimal:
     assignment: dict
     value: Rational
+    dual: tuple  # per expanded row, see the dual convention above
 
 
 @dataclass(frozen=True)
@@ -114,32 +123,60 @@ class Unbounded:
     ray: dict
 
 
+def _integer_rows(lp: ExactLP):
+    """The expanded rows, each scaled to integers by the lcm of its
+    denominators: (sparse [(j, a)], relation, rhs, scale). A bound row holds
+    its one variable only, so no unit row is built."""
+    out = []
+    for c in lp.constraints:
+        row = [(j, a) for j, a in enumerate(c.coeffs) if a]
+        s = denominator_lcm([c.rhs] + [a for _j, a in row])
+        row = [(j, scaled_int(a, s)) for j, a in row]
+        out.append((row, c.relation, scaled_int(c.rhs, s), s))
+    for rel, bounds in ((GE, lp.lower), (LE, lp.upper)):
+        for j, b in enumerate(bounds or ()):
+            if b is not None:
+                s = int(b.denominator)
+                out.append(([(j, s)], rel, int(b.numerator), s))
+    return out
+
+
+def _combine(lp: ExactLP, irows, mults):
+    """The sum of mults[k] times expanded row k (``irows`` from
+    _integer_rows), each row oriented "<=", on integers: (coefficients,
+    rhs, q) for q > 0 times the sum, or None when an inequality multiplier
+    is negative."""
+    if len(mults) != len(irows):
+        raise DimensionMismatch(f"{len(mults)} multipliers for {len(irows)} expanded rows")
+    terms = []  # (row, rhs, signed multiplier numerator, denominator)
+    q = 1
+    for (row, rel, b, s), lam in zip(irows, mults):
+        num, den = int(lam.numerator), int(lam.denominator)
+        if num < 0 and rel != EQ:
+            return None
+        if num:
+            terms.append((row, b, -num if rel == GE else num, s * den))
+            q = lcm(q, s * den)
+    combo = [0] * len(lp.variables)
+    rhs = 0
+    for row, b, num, den in terms:
+        f = num * (q // den)
+        for j, a in row:
+            combo[j] += f * a
+        rhs += f * b
+    return combo, rhs, q
+
+
 def verify_farkas(lp: ExactLP, witness: FarkasWitness) -> bool:
     """Exact check that the multipliers combine the rows into 0 <= c, c < 0.
 
     Independent of solve(): recomputes the combination from scratch.
     """
-    rows = lp.expanded_rows()
-    mults = witness.multipliers
-    if len(mults) != len(rows):
-        raise DimensionMismatch(
-            f"{len(mults)} multipliers for {len(rows)} expanded rows"
-        )
-    nv = len(lp.variables)
-    combo = [ZERO] * nv
-    rhs = ZERO
-    for (coeffs, rel, b), lam in zip(rows, mults):
-        if rel != EQ and lam < 0:
-            return False
-        if lam == 0:
-            continue
-        sign = -ONE if rel == GE else ONE
-        term = lam * sign
-        for j, a in enumerate(coeffs):
-            if a:
-                combo[j] += term * a
-        rhs += term * b
-    return all(c == 0 for c in combo) and rhs < 0
+    combined = _combine(lp, _integer_rows(lp), witness.multipliers)
+    if combined is None:
+        return False
+    combo, rhs, _q = combined
+    return not any(combo) and rhs < 0
 
 
 # ---------------------------------------------------------------------------
@@ -334,15 +371,27 @@ def solve(lp: ExactLP):
 
     tab = _Tableau(rows, ncols, basis, colscale)
 
+    # Where row 0 shows each solver row's dual: in its artificial column, or
+    # in its slack when it has none (a "<=" row); both carry +1 in the row.
+    # o turns that dual into the orientation of the unflipped row.
+    ncons = len(lp.constraints)
+    dual_read = []
+    for i, (cc, rel, b, flip, s) in enumerate(norm):
+        orig = lp.constraints[i].relation if i < ncons else LE
+        col = art_col[i] if art_col[i] is not None else slack_col[i]
+        dual_read.append((col, flip if orig == GE else -flip))
+    lower_cols = [loc[1] for loc in col_of if loc[0] == "shift"]
+
     # ---- phase 1: minimize phase1_l times the sum of the unscaled
     # artificials, so that the artificial of a row with scale s costs
     # phase1_l // s and Bland's rule pivots as on the unscaled tableau
     if art_set:
         phase1_l = lcm(*(colscale[a] for a in art_set))
+        cost1 = [0] * ncols
         obj = rows[0]
         for i, a in enumerate(art_col):
             if a is not None:
-                w = phase1_l // colscale[a]
+                w = cost1[a] = phase1_l // colscale[a]
                 for j, v in enumerate(rows[i + 1]):
                     if v:
                         obj[j] -= w * v
@@ -351,9 +400,14 @@ def solve(lp: ExactLP):
         if status != "optimal":
             raise InternalError("internal error: phase 1 cannot be unbounded")
         if rows[0][ncols] < 0:  # a positive sum of artificials remains
-            return Infeasible(
-                _farkas_from_tableau(lp, tab, norm, phase1_l, slack_col, art_col, col_of)
+            # the phase-1 dual bounds the artificials' sum away from 0 with
+            # a zero combination of the structural columns: a Farkas witness
+            witness = FarkasWitness(
+                _read_dual(tab, cost1, phase1_l, dual_read, lower_cols, ncons)
             )
+            if not verify_farkas(lp, witness):
+                raise InternalError("internal error: unverifiable Farkas witness")
+            return Infeasible(witness)
         # drive artificials out of the basis where possible
         for i in range(nrows):
             if tab.basis[i] in art_set:
@@ -380,7 +434,7 @@ def solve(lp: ExactLP):
 
     if lp.objective is None:
         assignment = read_assignment()
-        _assert_satisfies(lp, assignment)
+        _assert_satisfies(lp, _integer_rows(lp), assignment)
         return Feasible(assignment)
 
     # ---- phase 2: row 0 from the cost vector scaled to integers by cost_l
@@ -430,54 +484,44 @@ def solve(lp: ExactLP):
                 ray[name] = dirvec[loc[1]]
             else:
                 ray[name] = dirvec[loc[1]] - dirvec[loc[2]]
-        _assert_ray(lp, ray)
+        _assert_ray(lp, _integer_rows(lp), ray)
         return Unbounded(ray)
 
     assignment = read_assignment()
-    _assert_satisfies(lp, assignment)
+    irows = _integer_rows(lp)
+    _assert_satisfies(lp, irows, assignment)
     value = sign * (Rational(-rows[0][ncols], cost_l * d) + const_term)
-    return Optimal(assignment, value)
-
-
-def _farkas_from_tableau(lp, tab, norm, phase1_l, slack_col, art_col, col_of):
-    """Build expanded-row multipliers from the optimal phase-1 tableau."""
-    obj = tab.rows[0]
-    den = tab.d * phase1_l  # row 0 holds den * (reduced costs)
-    nconstraints = len(lp.constraints)
-    nv = len(lp.variables)
-
-    lam_solver = []
-    for i, (cc, rel, b, flip, s) in enumerate(norm):
-        # the dual of the unscaled row is s times the scaled row's
-        if art_col[i] is not None:
-            y = Rational(den - s * obj[art_col[i]], den)
-        else:
-            y = Rational(-s * obj[slack_col[i]], den)
-        w = -flip * y
-        # orient per the original relation of this solver row
-        lam_solver.append(-w if rel_of_solver_row(lp, i) == GE else w)
-
-    # lower-bound multipliers are the reduced costs of the shifted columns
-    lam_lower = []
-    lower = lp.lower if lp.lower is not None else (None,) * nv
-    for j in range(nv):
-        if lower[j] is not None:
-            loc = col_of[j]
-            lam_lower.append(Rational(obj[loc[1]], den))
-
-    mults = tuple(lam_solver[:nconstraints]) + tuple(lam_lower) + tuple(
-        lam_solver[nconstraints:]
+    dual = _read_dual(tab, cost, cost_l, dual_read, lower_cols, ncons)
+    combined = _combine(lp, irows, dual)
+    o = 1 if direction == "max" else -1  # the dual proves o*c.x <= o*value
+    certified = combined is not None and all(
+        v * int(a.denominator) == o * combined[2] * int(a.numerator)
+        for v, a in zip([*combined[0], combined[1]], [*coeffs, value])
     )
-    witness = FarkasWitness(mults)
-    if not verify_farkas(lp, witness):
-        raise InternalError("internal error: unverifiable Farkas witness")
-    return witness
+    if not certified or _dot(coeffs, [assignment[name] for name in lp.variables]) != value:
+        raise InternalError("internal error: the dual does not certify the optimum")
+    return Optimal(assignment, value, dual)
 
 
-def rel_of_solver_row(lp, i):
-    if i < len(lp.constraints):
-        return lp.constraints[i].relation
-    return LE  # upper-bound rows
+def _read_dual(tab, cost, scale, dual_read, lower_cols, ncons):
+    """Multipliers per expanded row, in the Farkas order and orientation,
+    read from row 0 of a final tableau whose phase costs are cost / scale.
+
+    Row 0 holds d * scale * (cost_j - y . A_j) for every column j. Each
+    column in ``dual_read`` has coefficient +1 in its row only, so it gives
+    that scaled row's dual; times the row's scale (the column's) it is the
+    dual of the unscaled row. The reduced cost of a shifted column is the
+    multiplier of its variable's lower-bound row.
+    """
+    obj = tab.rows[0]
+    d = tab.d
+    den = d * scale
+    rows = [
+        Rational(o * tab.colscale[j] * (cost[j] * d - obj[j]), den)
+        for j, o in dual_read
+    ]
+    lower = [Rational(obj[j], den) for j in lower_cols]
+    return tuple(rows[:ncons] + lower + rows[ncons:])
 
 
 def _holds(lhs, rel, rhs) -> bool:
@@ -488,33 +532,25 @@ def _dot(coeffs, vals):
     return sum((a * v for a, v in zip(coeffs, vals) if a), ZERO)
 
 
-def _assert_satisfies(lp, assignment):
-    """Every constraint row, then each variable's bounds, hold at the
-    assignment."""
+def _assert_satisfies(lp, irows, assignment):
+    """Every expanded row holds at the assignment, compared on integers."""
     vals = [assignment[name] for name in lp.variables]
-    nv = len(vals)
-    ok = (
-        all(_holds(_dot(c.coeffs, vals), c.relation, c.rhs) for c in lp.constraints)
-        and all(lo is None or v >= lo for v, lo in zip(vals, lp.lower or (None,) * nv))
-        and all(hi is None or v <= hi for v, hi in zip(vals, lp.upper or (None,) * nv))
-    )
-    if not ok:
+    scale = denominator_lcm(vals)
+    x = [scaled_int(v, scale) for v in vals]
+    if not all(_holds(sum(a * x[j] for j, a in row), rel, b * scale)
+               for row, rel, b, _s in irows):
         raise InternalError("internal error: simplex returned an infeasible point")
 
 
-def _assert_ray(lp, ray):
+def _assert_ray(lp, irows, ray):
     """The ray improves the objective and lies in the recession cone of
-    every constraint row and every bound."""
+    every expanded row."""
     vals = [ray[name] for name in lp.variables]
-    nv = len(vals)
     coeffs, direction = lp.objective
     gain = _dot(coeffs, vals)
     if not ((gain < 0) if direction == "min" else (gain > 0)):
         raise InternalError("internal error: ray does not improve the objective")
-    ok = (
-        all(_holds(_dot(c.coeffs, vals), c.relation, 0) for c in lp.constraints)
-        and all(lo is None or v >= 0 for v, lo in zip(vals, lp.lower or (None,) * nv))
-        and all(hi is None or v <= 0 for v, hi in zip(vals, lp.upper or (None,) * nv))
-    )
-    if not ok:
+    scale = denominator_lcm(vals)
+    r = [scaled_int(v, scale) for v in vals]
+    if not all(_holds(sum(a * r[j] for j, a in row), rel, 0) for row, rel, _b, _s in irows):
         raise InternalError("internal error: ray leaves the feasible region")

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from . import lp
-from .errors import InfeasibleParameters, MalformedDocument, TooLarge
+from .errors import InfeasibleParameters, InternalError, MalformedDocument, TooLarge
 from .ground import (
     ONE,
     ZERO,
@@ -19,6 +19,7 @@ from .ground import (
     Rational,
     elements,
     format_rational,
+    is_json_int,
     is_subset,
     lex_key,
     parse_rational,
@@ -70,7 +71,12 @@ def parse_full_table(data) -> FullTable:
         doc = data
     if not isinstance(doc, dict) or "m" not in doc or "values" not in doc:
         raise MalformedDocument('oracle table needs "m" and "values"')
-    return FullTable(doc["m"], tuple(parse_rational(v) for v in doc["values"]))
+    m, values = doc["m"], doc["values"]
+    if not is_json_int(m) or m < 0:
+        raise MalformedDocument(f'"m" must be a nonnegative integer, got {m!r}')
+    if not isinstance(values, list):
+        raise MalformedDocument(f'"values" must be a list, got {type(values).__name__}')
+    return FullTable(m, tuple(parse_rational(v) for v in values))
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +226,7 @@ def distance_to_class(table: FullTable, klass: str) -> Rational:
             h = PartialSetFunction(table.m, kept)
             if full_domain_extend(h, klass):
                 return Rational(d, nsets)
-    raise AssertionError("every class contains the all-zero table")
+    raise InternalError("internal error: every class contains the all-zero table")
 
 
 # ---------------------------------------------------------------------------
@@ -286,6 +292,10 @@ def random_valid_square_certificate(m: int, rng, max_squares: int = 3):
     compose random incomparable squares, let the sets with unbalanced
     middle/top-bottom counts be the defined ones, then pick values that
     make the weighted sum positive."""
+    if m < 2:
+        raise InfeasibleParameters(
+            f"a square certificate needs two incomparable sets, so m >= 2; got m={m}"
+        )
     while True:
         nsq = rng.randint(1, max_squares)
         seen = set()
@@ -323,5 +333,6 @@ def random_valid_square_certificate(m: int, rng, max_squares: int = 3):
         cert = SquareCertificate(m, tuple(tuples), h)
         from .submodular import verify_square_certificate
 
-        assert verify_square_certificate(cert, h)
+        if not verify_square_certificate(cert, h):
+            raise InternalError("internal error: a generated certificate does not verify")
         return cert, h

@@ -22,6 +22,7 @@ from . import lp
 from .errors import (
     ClosureCapExceeded,
     IncompleteAssignment,
+    InternalError,
     InvariantBroken,
     MalformedCircuit,
     MalformedDocument,
@@ -300,7 +301,8 @@ def extend_submodular(
     if isinstance(out, lp.Feasible):
         values = {s: out.assignment[f"w{s}"] for s in fam}
         return SubmodularResult("extendible", values=values, family=fam)
-    assert isinstance(out, lp.Infeasible)
+    if not isinstance(out, lp.Infeasible):
+        raise InternalError("internal error: the family LP is neither feasible nor infeasible")
     cert = extract_square_certificate(h, out.witness, problem)
     return SubmodularResult("not_extendible", certificate=cert, family=fam)
 
@@ -321,7 +323,8 @@ def approx_submodular(h: PartialSetFunction, cap: int = DEFAULT_CLOSURE_CAP):
         else interval_family(masks, cap)
     )
     out = lp.solve(_family_lp(h, fam, boxes=True))
-    assert isinstance(out, lp.Optimal), "box LP is always feasible for alpha large"
+    if not isinstance(out, lp.Optimal):
+        raise InternalError("internal error: the box LP has no optimum")
     return out.value
 
 
@@ -756,7 +759,8 @@ def fixing_algorithm(bc: BooleanCircuitCertificate, inputs) -> FixReport:
                 val[g_or] = 1
                 proof[g_or] = ("one", g_or, 1, proof[cg])
                 cg = g_or
-    assert all(o in val for o in bc.output_ids()), "every output gate must be fixed"
+    if not all(o in val for o in bc.output_ids()):
+        raise InternalError("internal error: the fixing walk left an output gate unfixed")
 
     # saturate: close the walk's fixes under the one-child/two-child rules
     ins = bc.in_edges()
@@ -891,9 +895,8 @@ def lattice_rewrite(cert: SquareCertificate, h: PartialSetFunction) -> SquareCer
                 new_creator[gid] |= 1 << i
     for g in bc.gates:
         if g.role in ("ip", "op"):
-            assert new_creator[g.gid] == creator[g.gid], (
-                "rewrite must not move defined-set gates"
-            )
+            if new_creator[g.gid] != creator[g.gid]:
+                raise InternalError("internal error: the rewrite moved a defined-set gate")
     bc2 = BooleanCircuitCertificate(
         bc.m,
         bc.gates,

@@ -91,7 +91,7 @@ def sample_M_lambda(m: int, epsilon, variant: str, rng: random.Random) -> int:
                 mask |= 1 << e
             return mask
         r -= w
-    raise AssertionError("unreachable")
+    raise InternalError("internal error: the layer draw fell past the last layer")
 
 
 def query_bound(m: int, epsilon, variant: str) -> float:
@@ -300,7 +300,8 @@ def min_union_cover(values: dict[int, Rational], target: int, available):
 def fractional_cover_min(values: dict[int, Rational], target: int):
     """Optimal fractional cover of ``target`` by its own subsets:
     (value, weights). Row generation on the dual (variables per element)
-    keeps the LP small even though there are 2^|T| candidate sets."""
+    keeps the LP small even though there are 2^|T| candidate sets, and the
+    final LP's dual multipliers are the weights."""
     from . import lp
 
     elems = elements(target)
@@ -322,7 +323,6 @@ def fractional_cover_min(values: dict[int, Rational], target: int):
 
     names = tuple(f"b{i}" for i in range(t))
     generated: list[int] = [1 << i for i in range(t)]
-    gen_set = set(generated)
     while True:
         cons = tuple(
             lp.Constraint(
@@ -358,32 +358,13 @@ def fractional_cover_min(values: dict[int, Rational], target: int):
         if worst_p is None:
             break
         generated.append(worst_p)
-        gen_set.add(worst_p)
 
-    # primal over the generated columns recovers the optimal weights
-    cols = generated
-    names_p = tuple(f"a{j}" for j in range(len(cols)))
-    cons = []
-    for i in range(t):
-        cons.append(
-            lp.Constraint(
-                tuple(ONE if p >> i & 1 else ZERO for p in cols), ">=", ONE
-            )
-        )
-    objective = (tuple(packed_value[p] for p in cols), "min")
-    opt = lp.solve(
-        lp.ExactLP(names_p, tuple(cons), objective, lower=(ZERO,) * len(cols))
-    )
-    if not (isinstance(opt, lp.Optimal) and opt.value == out.value):
-        raise InternalError(
-            "internal error: the primal cover LP does not match its dual optimum"
-        )
+    # the last LP's dual multipliers on the generated rows are the optimal
+    # cover weights; the lower-bound rows follow them
     weights = tuple(
-        (packed_orig[p], opt.assignment[f"a{j}"])
-        for j, p in enumerate(cols)
-        if opt.assignment[f"a{j}"] != 0
+        (packed_orig[p], w) for p, w in zip(generated, out.dual) if w != 0
     )
-    return opt.value, weights
+    return out.value, weights
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,14 @@
 """XOS (max-of-nonnegative-linear, equivalently fractionally subadditive)
-extension: exact decision via per-point fractional-cover LPs, the optimal
-approximation factor via one LP, and roof evaluation.
+extension: exact decision, the optimal approximation factor and roof
+evaluation, all from one fractional-cover LP per defined set.
 
 A partial function extends to an XOS function iff every defined set's
-fractional cover by defined sets costs at least its own value; on the
-extendible side the n supporting linear functions are reconstructed from
-the witness LP with one vector per defined point.
+fractional cover by defined sets costs at least its own value. The dual of
+the roof LP at T_i is a vector y_i >= 0, zero outside T_i, with
+y_i . chi(T_k) <= f_k for every k and y_i . chi(T_i) = roof(T_i) <= f_i. So
+alpha = max(1, max_i f_i / roof(T_i)) is the optimal factor, witnessed by
+the vectors alpha * y_i; at alpha = 1 the y_i are the supporting vectors
+of an exact extension.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import lp
-from .errors import UnattainableFactor, ValueNotPositive
+from .errors import InternalError, UnattainableFactor, ValueNotPositive
 from .ground import ONE, ZERO, PartialSetFunction, Rational, elements
 
 
@@ -73,8 +76,12 @@ class XosNotExtendible:
 
 def eval_xos_roof(h: PartialSetFunction, target: int):
     """Minimum cost of a fractional cover of ``target`` by defined sets:
-    (value, optimal weights), or None when some element of ``target`` lies
-    in no defined set."""
+    (value, optimal weights, optimal dual vector), or None when some element
+    of ``target`` lies in no defined set.
+
+    The dual vector y over [m] is zero outside ``target``, has
+    y . chi(T_k) <= f_k for every defined T_k, and y . chi(target) = value.
+    """
     h.require_nonnegative("xos")
     elems = elements(target)
     for e in elems:
@@ -90,66 +97,40 @@ def eval_xos_roof(h: PartialSetFunction, target: int):
     out = lp.solve(
         lp.ExactLP(names, tuple(cons), objective, lower=(ZERO,) * n)
     )
-    assert isinstance(out, lp.Optimal)
+    if not isinstance(out, lp.Optimal):
+        raise InternalError("internal error: a coverable roof LP has no optimum")
     weights = tuple(
         (mask, out.assignment[f"a{i}"])
         for i, (mask, _) in enumerate(h.points)
         if out.assignment[f"a{i}"] != 0
     )
-    return out.value, weights
+    # the multipliers of the element rows; the lower-bound rows follow them
+    vector = [ZERO] * h.m
+    for e, y in zip(elems, out.dual):
+        vector[e] = y
+    return out.value, weights, tuple(vector)
 
 
 def extend_xos(h: PartialSetFunction):
     """Decide XOS extendibility: the minimizing fractional cover is the
-    witness on the negative side; on the positive side the supporting
-    vectors come from the one-vector-per-point feasibility LP at alpha=1."""
+    witness on the negative side; on the positive side the roof duals are
+    the supporting vectors."""
     h.require_nonnegative("xos")
+    vectors = []
     for target, value in h.points:
         roof = eval_xos_roof(h, target)
-        assert roof is not None  # target covers itself
-        cost, weights = roof
+        if roof is None:
+            raise InternalError("internal error: a defined set does not cover itself")
+        cost, weights, vector = roof
         if cost < value:
-            witness = XosNotExtendible(target, weights)
-            assert witness.check(h)
-            return witness
-    vectors = _support_vectors(h)
-    witness = XosExtendible(vectors)
-    assert witness.check(h)
-    return witness
-
-
-def _support_vectors(h: PartialSetFunction) -> tuple[tuple[Rational, ...], ...]:
-    """Feasible vectors for the exact-extension LP: w_i . chi(T_i) = f_i and
-    w_i . chi(T_i) >= w_k . chi(T_i) for all k, every w_i >= 0."""
-    n, m = len(h.points), h.m
-    nv = n * m
-    names = tuple(f"w{i}_{j}" for i in range(n) for j in range(m))
-    var = lambda i, j: i * m + j
-
-    cons = []
-    for i, (mask, value) in enumerate(h.points):
-        row = [ZERO] * nv
-        for e in elements(mask):
-            row[var(i, e)] = ONE
-        cons.append(lp.Constraint(tuple(row), "=", value))
-        for k in range(n):
-            if k == i:
-                continue
-            row = [ZERO] * nv
-            for e in elements(mask):
-                row[var(i, e)] = ONE
-                row[var(k, e)] = -ONE
-            cons.append(lp.Constraint(tuple(row), ">=", ZERO))
-    out = lp.solve(lp.ExactLP(names, tuple(cons), lower=(ZERO,) * nv))
-    assert isinstance(out, lp.Feasible), "roof checks passed but vector LP infeasible"
-    return tuple(
-        tuple(out.assignment[f"w{i}_{j}"] for j in range(m)) for i in range(n)
-    )
+            return _checked(XosNotExtendible(target, weights), h)
+        vectors.append(vector)
+    return _checked(XosExtendible(tuple(vectors)), h)
 
 
 def approx_xos(h: PartialSetFunction):
-    """Optimal alpha for approximate XOS extension plus the optimal
-    vectors, from the single LP with variables alpha and the n*m entries."""
+    """Optimal alpha for approximate XOS extension, max(1, max_i f_i /
+    roof(T_i)), plus the roof duals scaled by alpha as the vectors."""
     for mask, v in h.points:
         if v <= 0:
             raise ValueNotPositive(
@@ -161,35 +142,16 @@ def approx_xos(h: PartialSetFunction):
                 "the empty set carries a positive value but every XOS "
                 "function is 0 there; no finite factor exists"
             )
-    n, m = len(h.points), h.m
-    nv = n * m + 1  # alpha is the last variable
-    names = tuple(f"w{i}_{j}" for i in range(n) for j in range(m)) + ("alpha",)
-    var = lambda i, j: i * m + j
-    alpha_col = nv - 1
+    alpha = ONE
+    duals = []
+    for mask, value in h.points:
+        roof, _weights, vector = eval_xos_roof(h, mask)
+        alpha = max(alpha, value / roof)
+        duals.append(vector)
+    return alpha, tuple(tuple(alpha * y for y in w) for w in duals)
 
-    cons = []
-    for i, (mask, value) in enumerate(h.points):
-        lo = [ZERO] * nv
-        hi = [ZERO] * nv
-        for e in elements(mask):
-            lo[var(i, e)] = ONE
-            hi[var(i, e)] = ONE
-        cons.append(lp.Constraint(tuple(lo), ">=", value))
-        hi[alpha_col] = -value
-        cons.append(lp.Constraint(tuple(hi), "<=", ZERO))
-        for k in range(n):
-            if k == i:
-                continue
-            row = [ZERO] * nv
-            for e in elements(mask):
-                row[var(i, e)] = ONE
-                row[var(k, e)] = -ONE
-            cons.append(lp.Constraint(tuple(row), ">=", ZERO))
-    objective = (tuple(ZERO for _ in range(nv - 1)) + (ONE,), "min")
-    lower = (ZERO,) * (nv - 1) + (ONE,)
-    out = lp.solve(lp.ExactLP(names, tuple(cons), objective, lower=lower))
-    assert isinstance(out, lp.Optimal), "approx XOS LP must be solvable"
-    vectors = tuple(
-        tuple(out.assignment[f"w{i}_{j}"] for j in range(m)) for i in range(n)
-    )
-    return out.value, vectors
+
+def _checked(witness, h: PartialSetFunction):
+    if not witness.check(h):
+        raise InternalError(f"internal error: {type(witness).__name__} does not verify")
+    return witness

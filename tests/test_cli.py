@@ -341,3 +341,38 @@ def test_pool_size_clamps_jobs():
     assert _pool_size(10**6, 3, 64) == 3  # the trials
     assert _pool_size(2, 8, 64) == 2
     assert _pool_size(8, 8, None) == 1  # os.cpu_count() may not know
+
+
+@pytest.mark.parametrize("trials", ["0", "-5"])
+def test_trials_below_one_is_a_usage_error(files, trials):
+    out = run(
+        ["test", "--class", "subadditive", "--oracle", files["modular.json"],
+         "--epsilon", "1/4", "--trials", trials]
+    )
+    assert out.returncode == 2 and out.stdout == ""
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        '{"m":"2","values":["0","1","1","2"]}',
+        '{"m":true,"values":["0","1"]}',
+        '{"m":-1,"values":[]}',
+        '{"m":2,"values":5}',
+        '{"m":2,"values":{"0":"1"}}',
+    ],
+)
+def test_malformed_oracle_table_is_an_input_error(tmp_path, doc):
+    path = tmp_path / "table.json"
+    path.write_text(doc)
+    out = run(["test", "--class", "xos", "--oracle", str(path), "--epsilon", "1/4"])
+    assert out.returncode == 2 and out.stdout == ""
+    assert "input error" in out.stderr and "Traceback" not in out.stderr
+
+
+def test_gen_cert_needs_two_elements():
+    """m < 2 has no incomparable pair; a timeout turns a hang into a failure."""
+    for m in ("1", "0"):
+        out = run(["gen", "--kind", "cert", "--m", m], timeout=60)
+        assert out.returncode == 2 and out.stdout == ""
+        assert "Traceback" not in out.stderr

@@ -247,6 +247,45 @@ def test_integer_tableau_matches_brute_force(prob):
     assert out.value == sum((a * v for a, v in zip(coeffs, x)), Q(0))
     values = [sum((a * v for a, v in zip(coeffs, p)), Q(0)) for p in points]
     assert out.value == (min(values) if direction == "min" else max(values))
+    _check_dual(prob, out)
+
+
+def _check_dual(prob, out):
+    """The dual multipliers, nonnegative on inequality rows, combine the
+    expanded rows, each oriented "<=", into c.x <= value for a max and
+    -c.x <= -value for a min."""
+    rows = prob.expanded_rows()
+    assert len(out.dual) == len(rows)
+    coeffs, direction = prob.objective
+    sign = 1 if direction == "max" else -1
+    combo = [Q(0)] * len(prob.variables)
+    rhs = Q(0)
+    for (co, rel, b), y in zip(rows, out.dual):
+        assert rel == "=" or y >= 0
+        if rel == ">=":
+            co, b = [-a for a in co], -b
+        combo = [c + y * a for c, a in zip(combo, co)]
+        rhs += y * b
+    assert combo == [sign * a for a in coeffs]
+    assert rhs == sign * out.value
+
+
+def test_corrupted_dual_readout_raises(monkeypatch):
+    """solve() checks every optimal dual it reads out before returning it."""
+    from extendkit.errors import InternalError
+
+    read = lp._read_dual
+
+    def corrupt(*args):
+        dual = read(*args)
+        return (dual[0] + 1,) + dual[1:]
+
+    prob = make(["x", "y"], [([1, 1], "<=", 4), ([1, 0], ">=", 1)], ([1, 2], "max"),
+                lower=(Q(0), Q(0)))
+    assert isinstance(lp.solve(prob), lp.Optimal)
+    monkeypatch.setattr(lp, "_read_dual", corrupt)
+    with pytest.raises(InternalError, match="dual does not certify"):
+        lp.solve(prob)
 
 
 def test_self_checks_raise_under_python_O():

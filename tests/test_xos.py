@@ -18,13 +18,13 @@ GADGET = psf(3, ([0, 1], 2), ([1, 2], 2), ([0, 2], 2), ([0, 1, 2], Q(7, 2)))
 
 def test_roof_two_singletons():
     h = psf(2, ([0], 1), ([1], 1))
-    value, _ = xos.eval_xos_roof(h, 0b11)
+    value, _, _ = xos.eval_xos_roof(h, 0b11)
     assert value == 2
 
 
 def test_roof_symmetric_half_weights():
     h = psf(3, ([0, 1], 2), ([1, 2], 2), ([0, 2], 2))
-    value, weights = xos.eval_xos_roof(h, 0b111)
+    value, weights, _ = xos.eval_xos_roof(h, 0b111)
     assert value == 3
     total = sum((w for _, w in weights), Q(0))
     assert total == Q(3, 2)
@@ -90,10 +90,20 @@ def test_approx_extendible_is_one():
     assert alpha == 1
 
 
+def _assert_vectors_witness(h, alpha, vectors):
+    """f_i <= max_k w_k . chi(T_i) <= alpha f_i at every defined T_i, with
+    one nonnegative vector of width m per defined set."""
+    assert len(vectors) == len(h.points)
+    assert all(len(w) == h.m and all(c >= 0 for c in w) for w in vectors)
+    for mask, value in h.points:
+        g = max(sum((w[e] for e in range(h.m) if mask >> e & 1), Q(0)) for w in vectors)
+        assert value <= g <= alpha * value
+
+
 def test_approx_gadget():
     alpha, vectors = xos.approx_xos(GADGET)
     assert alpha == Q(7, 6)
-    assert len(vectors) == 4 and all(len(w) == 3 for w in vectors)
+    _assert_vectors_witness(GADGET, alpha, vectors)
 
 
 def test_approx_matches_roof_ratio():
@@ -103,13 +113,14 @@ def test_approx_matches_roof_ratio():
         h = PartialSetFunction(
             4, tuple((s, Q(rng.randint(1, 12), rng.randint(1, 3))) for s in masks)
         )
-        alpha, _ = xos.approx_xos(h)
+        alpha, vectors = xos.approx_xos(h)
         best = Q(1)
         for mask, value in h.points:
-            roof, _ = xos.eval_xos_roof(h, mask)
+            roof, _, _ = xos.eval_xos_roof(h, mask)
             if value / roof > best:
                 best = value / roof
         assert alpha == best
+        _assert_vectors_witness(h, alpha, vectors)
 
 
 def test_approx_errors():
