@@ -16,6 +16,7 @@ from .errors import CertificateError, ExtendkitError, InputError, ResourceCapErr
 from .ground import (
     ConvexPartialFunction,
     PartialSetFunction,
+    elements,
     is_json_int,
     parse_partial_function,
     parse_rational,
@@ -99,7 +100,8 @@ def cmd_extend(args) -> int:
         if res.extendible:
             doc = {"verdict": "extendible", "kind": res.kind}
             doc["family_values"] = {
-                json.dumps(list(_els(s))): str(v) for s, v in sorted(res.values.items())
+                json.dumps(list(elements(s))): str(v)
+                for s, v in sorted(res.values.items())
             }
             _emit(doc)
             return EXIT_OK
@@ -115,12 +117,6 @@ def cmd_extend(args) -> int:
         return EXIT_OK
     _emit({"verdict": "not_extendible", "witness": to_jsonable(out.violation)})
     return EXIT_REFUTED
-
-
-def _els(mask):
-    from .ground import elements
-
-    return elements(mask)
 
 
 def cmd_approx(args) -> int:
@@ -180,7 +176,7 @@ def cmd_eval(args) -> int:
                 "status": "ok",
                 "value": str(value),
                 "weights": [
-                    {"set": list(_els(s)), "weight": str(w)} for s, w in weights
+                    {"set": list(elements(s)), "weight": str(w)} for s, w in weights
                 ],
             }
         )
@@ -267,7 +263,10 @@ def _pool_size(jobs: int, trials: int, cpus: int | None) -> int:
 
 
 def cmd_test(args) -> int:
-    eps = Fraction(args.epsilon)
+    try:
+        eps = Fraction(args.epsilon)
+    except (ValueError, ZeroDivisionError):
+        raise InputError(f"--epsilon must be a rational, got {args.epsilon!r}") from None
     table = oracle.parse_full_table(_read(args.oracle))
     if any(v < 0 for v in table.values):
         raise InputError("tester oracles must be nonnegative")

@@ -28,6 +28,7 @@ from .errors import (
     MalformedDocument,
     MalformedRational,
     NegativeValueForClass,
+    ValueNotPositive,
 )
 
 try:
@@ -176,6 +177,15 @@ class PartialSetFunction:
             if v < 0:
                 raise NegativeValueForClass(
                     f"class {klass!r} requires values >= 0; "
+                    f"f({sorted(elements(mask))}) = {format_rational(v)}"
+                )
+
+    def require_positive(self, klass: str) -> None:
+        """Approximation factors divide by the values, so each must be > 0."""
+        for mask, v in self.points:
+            if v <= 0:
+                raise ValueNotPositive(
+                    f"approximate {klass} extension needs values > 0; "
                     f"f({sorted(elements(mask))}) = {format_rational(v)}"
                 )
 

@@ -11,8 +11,8 @@ Rationals are formed only when an assignment, an optimal value, a ray or a
 set of multipliers is read out.
 
 Farkas convention: a witness assigns one multiplier per *expanded* row
-(declared constraints, then lower-bound rows in variable order, then
-upper-bound rows in variable order). Rows are oriented "<=" for the
+(declared constraints, then lower-bound rows in variable order). An upper
+bound is written as a declared "<=" row. Rows are oriented "<=" for the
 combination: "<=" rows enter as-is, ">=" rows enter negated, "=" rows
 enter as-is with a free-sign multiplier; inequality multipliers must be
 nonnegative. A valid witness combines rows to 0 <= c with c < 0.
@@ -60,7 +60,6 @@ class ExactLP:
     constraints: tuple[Constraint, ...]
     objective: Optional[tuple[tuple, str]] = None  # (coeffs, "min"|"max")
     lower: Optional[tuple] = None  # per-variable lower bound or None
-    upper: Optional[tuple] = None
 
     def __post_init__(self):
         nv = len(self.variables)
@@ -75,9 +74,8 @@ class ExactLP:
                 raise DimensionMismatch("objective width != variable count")
             if direction not in ("min", "max"):
                 raise DimensionMismatch(f"bad objective direction {direction!r}")
-        for bounds in (self.lower, self.upper):
-            if bounds is not None and len(bounds) != nv:
-                raise DimensionMismatch("bounds width != variable count")
+        if self.lower is not None and len(self.lower) != nv:
+            raise DimensionMismatch("bounds width != variable count")
 
     def expanded_rows(self) -> list[tuple[tuple, str, Rational]]:
         """Constraints plus bound rows, in the canonical witness order."""
@@ -88,11 +86,6 @@ class ExactLP:
             if lo is not None:
                 unit = tuple(ONE if k == j else ZERO for k in range(nv))
                 rows.append((unit, GE, lo))
-        for j in range(nv):
-            hi = self.upper[j] if self.upper else None
-            if hi is not None:
-                unit = tuple(ONE if k == j else ZERO for k in range(nv))
-                rows.append((unit, LE, hi))
         return rows
 
 
@@ -133,11 +126,10 @@ def _integer_rows(lp: ExactLP):
         s = denominator_lcm([c.rhs] + [a for _j, a in row])
         row = [(j, scaled_int(a, s)) for j, a in row]
         out.append((row, c.relation, scaled_int(c.rhs, s), s))
-    for rel, bounds in ((GE, lp.lower), (LE, lp.upper)):
-        for j, b in enumerate(bounds or ()):
-            if b is not None:
-                s = int(b.denominator)
-                out.append(([(j, s)], rel, int(b.numerator), s))
+    for j, b in enumerate(lp.lower or ()):
+        if b is not None:
+            s = int(b.denominator)
+            out.append(([(j, s)], GE, int(b.numerator), s))
     return out
 
 
@@ -279,7 +271,6 @@ def solve(lp: ExactLP):
     """
     nv = len(lp.variables)
     lower = lp.lower if lp.lower is not None else (None,) * nv
-    upper = lp.upper if lp.upper is not None else (None,) * nv
 
     # Column layout for original variable j:
     #   shifted : x_j = lower_j + col  (col >= 0)
@@ -295,22 +286,16 @@ def solve(lp: ExactLP):
             ncols += 2
     nstruct = ncols
 
-    # Solver rows: declared constraints then upper-bound rows.
-    solver_rows = [(c.coeffs, c.relation, c.rhs) for c in lp.constraints]
-    for j in range(nv):
-        if upper[j] is not None:
-            unit = tuple(ONE if k == j else ZERO for k in range(nv))
-            solver_rows.append((unit, LE, upper[j]))
-
     # Express each row over columns, fold lower-bound shifts into the rhs,
     # scale it to integers by the lcm of its denominators, then normalize to
     # nonnegative rhs (tracking the sign flip). A homogeneous ">=" row is
     # flipped too, so that it starts basic on its slack.
     norm = []  # (colcoeffs: dict of ints, rel, rhs: int, flip, scale)
-    for coeffs, rel, rhs in solver_rows:
+    for con in lp.constraints:
+        rel = con.relation
         terms = []
-        b = rhs
-        for j, a in enumerate(coeffs):
+        b = con.rhs
+        for j, a in enumerate(con.coeffs):
             if not a:
                 continue
             terms.append((j, a))
@@ -374,12 +359,10 @@ def solve(lp: ExactLP):
     # Where row 0 shows each solver row's dual: in its artificial column, or
     # in its slack when it has none (a "<=" row); both carry +1 in the row.
     # o turns that dual into the orientation of the unflipped row.
-    ncons = len(lp.constraints)
     dual_read = []
     for i, (cc, rel, b, flip, s) in enumerate(norm):
-        orig = lp.constraints[i].relation if i < ncons else LE
         col = art_col[i] if art_col[i] is not None else slack_col[i]
-        dual_read.append((col, flip if orig == GE else -flip))
+        dual_read.append((col, flip if lp.constraints[i].relation == GE else -flip))
     lower_cols = [loc[1] for loc in col_of if loc[0] == "shift"]
 
     # ---- phase 1: minimize phase1_l times the sum of the unscaled
@@ -403,7 +386,7 @@ def solve(lp: ExactLP):
             # the phase-1 dual bounds the artificials' sum away from 0 with
             # a zero combination of the structural columns: a Farkas witness
             witness = FarkasWitness(
-                _read_dual(tab, cost1, phase1_l, dual_read, lower_cols, ncons)
+                _read_dual(tab, cost1, phase1_l, dual_read, lower_cols)
             )
             if not verify_farkas(lp, witness):
                 raise InternalError("internal error: unverifiable Farkas witness")
@@ -491,7 +474,7 @@ def solve(lp: ExactLP):
     irows = _integer_rows(lp)
     _assert_satisfies(lp, irows, assignment)
     value = sign * (Rational(-rows[0][ncols], cost_l * d) + const_term)
-    dual = _read_dual(tab, cost, cost_l, dual_read, lower_cols, ncons)
+    dual = _read_dual(tab, cost, cost_l, dual_read, lower_cols)
     combined = _combine(lp, irows, dual)
     o = 1 if direction == "max" else -1  # the dual proves o*c.x <= o*value
     certified = combined is not None and all(
@@ -503,7 +486,7 @@ def solve(lp: ExactLP):
     return Optimal(assignment, value, dual)
 
 
-def _read_dual(tab, cost, scale, dual_read, lower_cols, ncons):
+def _read_dual(tab, cost, scale, dual_read, lower_cols):
     """Multipliers per expanded row, in the Farkas order and orientation,
     read from row 0 of a final tableau whose phase costs are cost / scale.
 
@@ -521,7 +504,7 @@ def _read_dual(tab, cost, scale, dual_read, lower_cols, ncons):
         for j, o in dual_read
     ]
     lower = [Rational(obj[j], den) for j in lower_cols]
-    return tuple(rows[:ncons] + lower + rows[ncons:])
+    return tuple(rows + lower)
 
 
 def _holds(lhs, rel, rhs) -> bool:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional
 
-from .errors import InternalError, ValueNotPositive
+from .errors import InternalError
 from .ground import (
     PartialSetFunction,
     Rational,
@@ -30,7 +30,9 @@ EXACT_UNION = "exact_union"
 
 @dataclass(frozen=True)
 class CoverViolation:
-    """A family of defined sets witnessing non-extendibility."""
+    """A family of defined sets covering ``target`` at total value
+    ``cover_sum``: a refutation when that is below f(target) =
+    ``target_value``, and the witness of the subadditive factor."""
 
     target: int
     cover: tuple[int, ...]
@@ -58,6 +60,12 @@ class CoverViolation:
             and total < values[self.target]
         )
 
+    def verify(self, oracle) -> bool:
+        """The exact-union check() on the oracle's values at the sets the
+        witness names; an exact union keeps every cover set inside the
+        target."""
+        return self.check(oracle.restrict((self.target, *self.cover)), EXACT_UNION)
+
     def _to_jsonable(self):
         return {
             "target": list(elements(self.target)),
@@ -75,24 +83,6 @@ class Extendible:
 @dataclass(frozen=True)
 class NotExtendible:
     violation: CoverViolation
-
-
-@dataclass(frozen=True)
-class ApproxWitness:
-    """The argmax target of f(T)/min-cover-cost(T) and its optimal cover."""
-
-    target: int
-    cover: tuple[int, ...]
-    cover_sum: Rational
-    target_value: Rational
-
-    def _to_jsonable(self):
-        return {
-            "target": list(elements(self.target)),
-            "cover": [list(elements(c)) for c in self.cover],
-            "cover_sum": str(self.cover_sum),
-            "target_value": str(self.target_value),
-        }
 
 
 def min_cover_value(
@@ -211,7 +201,7 @@ def approx_monotone_subadditive_exact(h: PartialSetFunction):
     cover roof of those bounds, and the roof scales linearly with alpha.
     With no defined sets the factor is 1 and there is no witness (None).
     """
-    _require_positive(h)
+    h.require_positive("subadditive")
     if not h.points:
         return Rational(1), None
     best = Rational(1)
@@ -224,7 +214,7 @@ def approx_monotone_subadditive_exact(h: PartialSetFunction):
             best, best_target, best_cover = ratio, target, cover
     values = h.as_dict()
     total = sum((values[c] for c in best_cover), Rational(0))
-    return best, ApproxWitness(best_target, best_cover, total, values[best_target])
+    return best, CoverViolation(best_target, best_cover, total, values[best_target])
 
 
 def approx_subadditive_via_xos(h: PartialSetFunction) -> Rational:
@@ -236,18 +226,9 @@ def approx_subadditive_via_xos(h: PartialSetFunction) -> Rational:
     """
     from .xos import approx_xos
 
-    _require_positive(h)
+    h.require_positive("subadditive")
     alpha, _vectors = approx_xos(h)
     return alpha
-
-
-def _require_positive(h: PartialSetFunction):
-    for mask, v in h.points:
-        if v <= 0:
-            raise ValueNotPositive(
-                f"approximation factors need values > 0; "
-                f"f({sorted(elements(mask))}) = {v}"
-            )
 
 
 def is_r_cover_free(family, r: int):

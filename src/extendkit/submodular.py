@@ -27,7 +27,6 @@ from .errors import (
     MalformedCircuit,
     MalformedDocument,
     MergeStuck,
-    ValueNotPositive,
     WitnessInvalid,
 )
 from .ground import (
@@ -176,7 +175,7 @@ def parse_square_certificate(data, context: PartialSetFunction | None = None):
             raise MalformedDocument(f"invalid JSON: {exc}") from exc
     else:
         doc = data
-    if not isinstance(doc, dict) or "tuples" not in doc:
+    if not isinstance(doc, dict) or not isinstance(doc.get("tuples"), list):
         raise MalformedDocument('certificate document needs a "tuples" array')
     m = doc.get("m", context.m if context is not None else None)
     if not is_json_int(m):
@@ -191,9 +190,16 @@ def parse_square_certificate(data, context: PartialSetFunction | None = None):
                 raise MalformedDocument(
                     f"'{key}' must be an array of integers: {arr!r}"
                 )
+            if any(i < 0 or i >= m for i in arr) or len(set(arr)) != len(arr):
+                raise MalformedDocument(
+                    f"'{key}' must list distinct indices in [0,{m}): {arr!r}"
+                )
+        count = entry.get("count", 1)
+        if not is_json_int(count):
+            raise MalformedDocument(f"'count' must be an integer: {count!r}")
         a = sum(1 << i for i in entry["a"])
         b = sum(1 << i for i in entry["b"])
-        tuples.append((square(a, b), int(entry.get("count", 1))))
+        tuples.append((square(a, b), count))
     return SquareCertificate(m, tuple(tuples), context)
 
 
@@ -310,12 +316,7 @@ def extend_submodular(
 def approx_submodular(h: PartialSetFunction, cap: int = DEFAULT_CLOSURE_CAP):
     """Minimal alpha with a submodular f obeying f_i <= f(T_i) <= alpha f_i,
     via the interval-family LP with box constraints."""
-    for mask, v in h.points:
-        if v <= 0:
-            raise ValueNotPositive(
-                f"approximate submodular extension needs values > 0; "
-                f"f({sorted(elements(mask))}) = {v}"
-            )
+    h.require_positive("submodular")
     masks = h.masks
     fam = (
         tuple(sorted(masks, key=lex_key))
@@ -403,6 +404,7 @@ class BooleanCircuitCertificate:
     def __post_init__(self):
         object.__setattr__(self, "_in", None)
         object.__setattr__(self, "_out", None)
+        object.__setattr__(self, "_index", {g.gid: i for i, g in enumerate(self.gates)})
 
     def in_edges(self) -> dict[int, tuple[int, ...]]:
         if self._in is None:
@@ -435,10 +437,6 @@ class BooleanCircuitCertificate:
 
     def gate(self, gid: int) -> Gate:
         return self.gates[self._index[gid]]
-
-    @property
-    def _index(self) -> dict[int, int]:
-        return {g.gid: i for i, g in enumerate(self.gates)}
 
     def targets(self, gid: int) -> tuple[int, int, int]:
         """(or-target, and-target, sibling) of a non-output gate."""

@@ -19,15 +19,17 @@ from typing import Callable, Optional
 
 from .errors import EpsilonOutOfRange, InternalError, TooLarge
 from .ground import (
-    ONE,
-    ZERO,
+    PartialSetFunction,
     Rational,
     denominator_lcm,
     elements,
     popcount,
     scaled_int,
     submasks,
+    to_jsonable,
 )
+from .subadditive import CoverViolation
+from .xos import XosNotExtendible, fractional_cover
 
 ONESIDED = "onesided"
 TWOSIDED = "twosided"
@@ -51,6 +53,12 @@ class FunctionOracle:
     def evaluate(self, mask: int) -> Rational:
         self.query_count += 1
         return self._fn(mask)
+
+    def restrict(self, masks) -> PartialSetFunction:
+        """The oracle's values at ``masks``, as a partial function."""
+        return PartialSetFunction(
+            self.m, tuple((s, self.evaluate(s)) for s in dict.fromkeys(masks))
+        )
 
 
 def _as_fraction(epsilon) -> Fraction:
@@ -130,7 +138,6 @@ class MonotonicityWitness:
 
     def _to_jsonable(self):
         return {
-            "kind": "monotonicity",
             "target": list(elements(self.target)),
             "subset": list(elements(self.subset)),
             "target_value": str(self.target_value),
@@ -138,71 +145,14 @@ class MonotonicityWitness:
         }
 
 
-@dataclass(frozen=True)
-class CoverWitness:
-    target: int
-    cover: tuple[int, ...]
-    cover_sum: Rational
-    target_value: Rational
-
-    def verify(self, oracle: FunctionOracle) -> bool:
-        union = 0
-        total = ZERO
-        for s in self.cover:
-            if s & ~self.target:
-                return False
-            union |= s
-            total += oracle.evaluate(s)
-        return (
-            union == self.target
-            and total == self.cover_sum
-            and oracle.evaluate(self.target) == self.target_value
-            and total < self.target_value
-        )
-
-    def _to_jsonable(self):
-        return {
-            "kind": "cover",
-            "target": list(elements(self.target)),
-            "cover": [list(elements(s)) for s in self.cover],
-            "cover_sum": str(self.cover_sum),
-            "target_value": str(self.target_value),
-        }
-
-
-@dataclass(frozen=True)
-class FractionalCoverWitness:
-    target: int
-    weights: tuple[tuple[int, Rational], ...]
-    cost: Rational
-    target_value: Rational
-
-    def verify(self, oracle: FunctionOracle) -> bool:
-        coverage = {e: ZERO for e in elements(self.target)}
-        total = ZERO
-        for s, w in self.weights:
-            if w < 0 or s & ~self.target:
-                return False
-            total += w * oracle.evaluate(s)
-            for e in elements(s):
-                coverage[e] += w
-        return (
-            all(c >= 1 for c in coverage.values())
-            and total == self.cost
-            and oracle.evaluate(self.target) == self.target_value
-            and total < self.target_value
-        )
-
-    def _to_jsonable(self):
-        return {
-            "kind": "fractional-cover",
-            "target": list(elements(self.target)),
-            "weights": [
-                {"set": list(elements(s)), "weight": str(w)} for s, w in self.weights
-            ],
-            "cost": str(self.cost),
-            "target_value": str(self.target_value),
-        }
+# the "kind" each rejection witness carries in a report; a cover is an
+# exact-union one (CoverViolation.verify), a fractional cover an XOS
+# refutation
+_KINDS = {
+    MonotonicityWitness: "monotonicity",
+    CoverViolation: "cover",
+    XosNotExtendible: "fractional-cover",
+}
 
 
 @dataclass(frozen=True)
@@ -214,14 +164,13 @@ class TesterReport:
     seed: Optional[int]
 
     def _to_jsonable(self):
-        from .ground import to_jsonable
-
+        w = self.witness
         return {
             "verdict": self.verdict,
             "queries": self.queries,
             "iterations_run": self.iterations_run,
             "seed": self.seed,
-            "witness": to_jsonable(self.witness) if self.witness else None,
+            "witness": {"kind": _KINDS[type(w)], **to_jsonable(w)} if w else None,
         }
 
 
@@ -298,73 +247,18 @@ def min_union_cover(values: dict[int, Rational], target: int, available):
 
 
 def fractional_cover_min(values: dict[int, Rational], target: int):
-    """Optimal fractional cover of ``target`` by its own subsets:
-    (value, weights). Row generation on the dual (variables per element)
-    keeps the LP small even though there are 2^|T| candidate sets, and the
-    final LP's dual multipliers are the weights."""
-    from . import lp
-
-    elems = elements(target)
-    t = len(elems)
-    if t == 0:
-        return ZERO, ()
-    full = (1 << t) - 1
+    """Optimal fractional cover of ``target`` by its own nonempty subsets:
+    (value, weights). Row generation from the singletons keeps the LP small
+    although there are 2^|T| - 1 candidate sets."""
     # submasks() ascends, so the p-th subset of target packs to p
-    packed_value: dict[int, Rational] = {}
-    packed_orig: dict[int, int] = {}
-    for p, sub in enumerate(submasks(target)):
-        if p:
-            packed_value[p] = values[sub]
-            packed_orig[p] = sub
-    # the separation runs on integers over a common denominator of the
-    # values and the dual solution
-    value_scale = denominator_lcm(packed_value.values())
-    scaled_value = [(p, scaled_int(v, value_scale)) for p, v in packed_value.items()]
-
-    names = tuple(f"b{i}" for i in range(t))
-    generated: list[int] = [1 << i for i in range(t)]
-    while True:
-        cons = tuple(
-            lp.Constraint(
-                tuple(ONE if p >> i & 1 else ZERO for i in range(t)),
-                "<=",
-                packed_value[p],
-            )
-            for p in generated
-        )
-        out = lp.solve(
-            lp.ExactLP(
-                names,
-                cons,
-                (tuple(ONE for _ in range(t)), "max"),
-                lower=(ZERO,) * t,
-            )
-        )
-        if not isinstance(out, lp.Optimal):
-            raise InternalError("internal error: the cover dual LP has no optimum")
-        beta = [out.assignment[f"b{i}"] for i in range(t)]
-        scale = math.lcm(value_scale, denominator_lcm(beta))
-        beta = [scaled_int(b, scale) for b in beta]
-        up = scale // value_scale
-        sums: list = [0] * (full + 1)
-        for p in range(1, full + 1):
-            low = p & -p
-            sums[p] = sums[p ^ low] + beta[low.bit_length() - 1]
-        worst, worst_p = 0, None
-        for p, v in scaled_value:
-            slack = sums[p] - v * up
-            if slack > worst:
-                worst, worst_p = slack, p
-        if worst_p is None:
-            break
-        generated.append(worst_p)
-
-    # the last LP's dual multipliers on the generated rows are the optimal
-    # cover weights; the lower-bound rows follow them
-    weights = tuple(
-        (packed_orig[p], w) for p, w in zip(generated, out.dual) if w != 0
+    subs = submasks(target)
+    t = popcount(target)
+    value, weights, _y = fractional_cover(
+        [(p, values[subs[p]]) for p in range(1, len(subs))],
+        t,
+        [(1 << i) - 1 for i in range(t)],
     )
-    return out.value, weights
+    return value, tuple((subs[k + 1], w) for k, w in weights)
 
 
 # ---------------------------------------------------------------------------
@@ -407,7 +301,7 @@ def test_subadditive(oracle: FunctionOracle, epsilon, rng) -> TesterReport:
         hit = min_union_cover(values, target, values.keys())
         if hit is not None and hit[0] < ft:
             cost, cover = hit
-            w = CoverWitness(target, cover, cost, ft)
+            w = CoverViolation(target, cover, cost, ft)
             return TesterReport("reject", oracle.query_count - start, w, it, seed)
     return TesterReport("accept", oracle.query_count - start, None, iterations, seed)
 
@@ -432,7 +326,7 @@ def test_xos(oracle: FunctionOracle, epsilon, rng) -> TesterReport:
                 )
         cost, weights = fractional_cover_min(values, target)
         if cost < ft:
-            w = FractionalCoverWitness(target, weights, cost, ft)
+            w = XosNotExtendible(target, weights, cost, ft)
             return TesterReport("reject", oracle.query_count - start, w, it, seed)
     return TesterReport("accept", oracle.query_count - start, None, iterations, seed)
 
@@ -456,6 +350,6 @@ def test_nonmonotone_subadditive(oracle: FunctionOracle, epsilon, rng) -> Tester
         hit = min_union_cover(values, target, set(values.keys()))
         if hit is not None and hit[0] < ft:
             cost, cover = hit
-            w = CoverWitness(target, cover, cost, ft)
+            w = CoverViolation(target, cover, cost, ft)
             return TesterReport("reject", oracle.query_count - start, w, it, seed)
     return TesterReport("accept", oracle.query_count - start, None, iterations, seed)

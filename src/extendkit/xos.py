@@ -3,8 +3,10 @@ extension: exact decision, the optimal approximation factor and roof
 evaluation, all from one fractional-cover LP per defined set.
 
 A partial function extends to an XOS function iff every defined set's
-fractional cover by defined sets costs at least its own value. The dual of
-the roof LP at T_i is a vector y_i >= 0, zero outside T_i, with
+fractional cover by defined sets costs at least its own value.
+fractional_cover() is the package's one fractional-cover LP (the XOS
+tester runs it too). It solves the cover's dual: at T_i its duals are the
+cover weights and its point is a vector y_i >= 0, zero outside T_i, with
 y_i . chi(T_k) <= f_k for every k and y_i . chi(T_i) = roof(T_i) <= f_i. So
 alpha = max(1, max_i f_i / roof(T_i)) is the optimal factor, witnessed by
 the vectors alpha * y_i; at alpha = 1 the y_i are the supporting vectors
@@ -13,11 +15,20 @@ of an exact extension.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from . import lp
-from .errors import InternalError, UnattainableFactor, ValueNotPositive
-from .ground import ONE, ZERO, PartialSetFunction, Rational, elements
+from .errors import InternalError, UnattainableFactor
+from .ground import (
+    ONE,
+    ZERO,
+    PartialSetFunction,
+    Rational,
+    denominator_lcm,
+    elements,
+    scaled_int,
+)
 
 
 @dataclass(frozen=True)
@@ -45,10 +56,14 @@ class XosExtendible:
 
 @dataclass(frozen=True)
 class XosNotExtendible:
-    """A fractional cover of ``target`` by defined sets costing < f(target)."""
+    """A fractional cover of ``target`` by defined sets costing ``cost`` <
+    f(target) = ``target_value``. Each set covers only its part inside the
+    target, which is sound for any XOS refutation."""
 
     target: int
     weights: tuple[tuple[int, Rational], ...]
+    cost: Rational
+    target_value: Rational
 
     def check(self, h: PartialSetFunction) -> bool:
         values = h.as_dict()
@@ -62,7 +77,17 @@ class XosNotExtendible:
             cost += w * values[mask]
             for e in elements(mask & self.target):
                 coverage[e] += w
-        return all(c >= 1 for c in coverage.values()) and cost < values[self.target]
+        return (
+            all(c >= 1 for c in coverage.values())
+            and cost == self.cost
+            and values[self.target] == self.target_value
+            and cost < self.target_value
+        )
+
+    def verify(self, oracle) -> bool:
+        """check() on the oracle's values at the sets the witness names."""
+        masks = (self.target, *(s for s, _w in self.weights))
+        return self.check(oracle.restrict(masks))
 
     def _to_jsonable(self):
         return {
@@ -71,7 +96,69 @@ class XosNotExtendible:
                 {"set": list(elements(mask)), "weight": str(w)}
                 for mask, w in self.weights
             ],
+            "cost": str(self.cost),
+            "target_value": str(self.target_value),
         }
+
+
+def fractional_cover(footprints, t: int, start):
+    """Minimum cost of a fractional cover of the elements 0..t-1 by packed
+    footprints [(p, value)], each p a nonzero mask over them and each value
+    >= 0, when every element lies in some footprint: (value, weights, y).
+
+    The LP is the cover's dual: one variable y_i >= 0 per element, maximise
+    sum y_i subject to y . chi(p) <= value, one row per footprint. It starts
+    from the footprints whose indices ``start`` lists; while some footprint
+    is left out, each round adds the most violated one (the strict maximum
+    of y . chi(p) - value, the first one on ties), separated on integers
+    over a table of y . chi(p) for all 2^t masks. The last LP's duals are
+    the optimal weights, [(footprint index, weight)] for the nonzero ones in
+    row order, and its point y has y . chi(p) <= value for every footprint
+    and sum y = value.
+    """
+    if t == 0:
+        return ZERO, (), ()
+    names = tuple(f"b{i}" for i in range(t))
+
+    def row(k):
+        p, value = footprints[k]
+        coeffs = tuple(ONE if p >> i & 1 else ZERO for i in range(t))
+        return lp.Constraint(coeffs, "<=", value)
+
+    # the separation runs on integers over a common denominator of the
+    # values and y
+    value_scale = denominator_lcm(v for _p, v in footprints)
+    scaled_value = [(p, scaled_int(v, value_scale)) for p, v in footprints]
+    generated = list(start)
+    cons = [row(k) for k in generated]
+    while True:
+        out = lp.solve(
+            lp.ExactLP(names, tuple(cons), ((ONE,) * t, "max"), lower=(ZERO,) * t)
+        )
+        if not isinstance(out, lp.Optimal):
+            raise InternalError("internal error: the fractional-cover LP has no optimum")
+        y = [out.assignment[name] for name in names]
+        if len(generated) == len(footprints):
+            break
+        scale = math.lcm(value_scale, denominator_lcm(y))
+        beta = [scaled_int(b, scale) for b in y]
+        up = scale // value_scale
+        sums = [0] * (1 << t)
+        for p in range(1, 1 << t):
+            low = p & -p
+            sums[p] = sums[p ^ low] + beta[low.bit_length() - 1]
+        worst, worst_k = 0, None
+        for k, (p, v) in enumerate(scaled_value):
+            slack = sums[p] - v * up
+            if slack > worst:
+                worst, worst_k = slack, k
+        if worst_k is None:
+            break
+        generated.append(worst_k)
+        cons.append(row(worst_k))
+    # the lower-bound rows' multipliers follow the footprint rows'
+    weights = tuple((k, w) for k, w in zip(generated, out.dual) if w != 0)
+    return out.value, weights, tuple(y)
 
 
 def eval_xos_roof(h: PartialSetFunction, target: int):
@@ -84,31 +171,26 @@ def eval_xos_roof(h: PartialSetFunction, target: int):
     """
     h.require_nonnegative("xos")
     elems = elements(target)
-    for e in elems:
-        if not any(mask >> e & 1 for mask, _ in h.points):
-            return None
-    n = len(h.points)
-    names = tuple(f"a{i}" for i in range(n))
-    cons = []
-    for e in elems:
-        row = tuple(ONE if mask >> e & 1 else ZERO for mask, _ in h.points)
-        cons.append(lp.Constraint(row, ">=", ONE))
-    objective = (tuple(v for _, v in h.points), "min")
-    out = lp.solve(
-        lp.ExactLP(names, tuple(cons), objective, lower=(ZERO,) * n)
+    masks, footprints = [], []
+    covered = 0
+    for mask, value in h.points:
+        p = 0
+        for i, e in enumerate(elems):
+            if mask >> e & 1:
+                p |= 1 << i
+        if p:
+            masks.append(mask)
+            footprints.append((p, value))
+            covered |= p
+    if covered != (1 << len(elems)) - 1:
+        return None
+    value, weights, y = fractional_cover(
+        footprints, len(elems), range(len(footprints))
     )
-    if not isinstance(out, lp.Optimal):
-        raise InternalError("internal error: a coverable roof LP has no optimum")
-    weights = tuple(
-        (mask, out.assignment[f"a{i}"])
-        for i, (mask, _) in enumerate(h.points)
-        if out.assignment[f"a{i}"] != 0
-    )
-    # the multipliers of the element rows; the lower-bound rows follow them
     vector = [ZERO] * h.m
-    for e, y in zip(elems, out.dual):
-        vector[e] = y
-    return out.value, weights, tuple(vector)
+    for e, v in zip(elems, y):
+        vector[e] = v
+    return value, tuple((masks[k], w) for k, w in weights), tuple(vector)
 
 
 def extend_xos(h: PartialSetFunction):
@@ -123,7 +205,7 @@ def extend_xos(h: PartialSetFunction):
             raise InternalError("internal error: a defined set does not cover itself")
         cost, weights, vector = roof
         if cost < value:
-            return _checked(XosNotExtendible(target, weights), h)
+            return _checked(XosNotExtendible(target, weights, cost, value), h)
         vectors.append(vector)
     return _checked(XosExtendible(tuple(vectors)), h)
 
@@ -131,17 +213,12 @@ def extend_xos(h: PartialSetFunction):
 def approx_xos(h: PartialSetFunction):
     """Optimal alpha for approximate XOS extension, max(1, max_i f_i /
     roof(T_i)), plus the roof duals scaled by alpha as the vectors."""
-    for mask, v in h.points:
-        if v <= 0:
-            raise ValueNotPositive(
-                f"approximate XOS extension needs values > 0; "
-                f"f({sorted(elements(mask))}) = {v}"
-            )
-        if mask == 0:
-            raise UnattainableFactor(
-                "the empty set carries a positive value but every XOS "
-                "function is 0 there; no finite factor exists"
-            )
+    h.require_positive("xos")
+    if 0 in h.masks:
+        raise UnattainableFactor(
+            "the empty set carries a positive value but every XOS "
+            "function is 0 there; no finite factor exists"
+        )
     alpha = ONE
     duals = []
     for mask, value in h.points:

@@ -243,6 +243,8 @@ def test_emitted_witnesses_reverify(files, tmp_path):
             (mask_of(e["set"]), parse_rational(e["weight"]))
             for e in wdoc["weights"]
         ),
+        parse_rational(wdoc["cost"]),
+        parse_rational(wdoc["target_value"]),
     )
     assert witness.check(h)
 
@@ -376,3 +378,30 @@ def test_gen_cert_needs_two_elements():
         out = run(["gen", "--kind", "cert", "--m", m], timeout=60)
         assert out.returncode == 2 and out.stdout == ""
         assert "Traceback" not in out.stderr
+
+
+def test_epsilon_zero_denominator_is_an_input_error(files):
+    out = run(
+        ["test", "--class", "xos", "--oracle", files["modular.json"], "--epsilon", "1/0"]
+    )
+    assert out.returncode == 2 and out.stdout == ""
+    assert "input error" in out.stderr and "Traceback" not in out.stderr
+
+
+@pytest.mark.parametrize(
+    "cert",
+    [
+        '{"m":2,"tuples":5}',
+        '{"m":2,"tuples":[{"a":[0],"b":[1],"count":1.7}]}',
+        '{"m":2,"tuples":[{"a":[0],"b":[1],"count":true}]}',
+        '{"m":2,"tuples":[{"a":[0],"b":[5],"count":1}]}',
+        '{"m":2,"tuples":[{"a":[-1],"b":[1],"count":1}]}',
+        '{"m":2,"tuples":[{"a":[0,0],"b":[1],"count":1}]}',
+    ],
+)
+def test_malformed_certificate_is_an_input_error(files, tmp_path, cert):
+    path = tmp_path / "cert.json"
+    path.write_text(cert)
+    out = run(["verify-cert", "--input", files["cube.json"], "--cert", str(path)])
+    assert out.returncode == 2 and out.stdout == ""
+    assert "input error" in out.stderr and "Traceback" not in out.stderr

@@ -14,10 +14,16 @@ from extendkit.ground import Rational as Q
 
 
 def make(names, rows, objective=None, lower=None, upper=None):
+    """An ExactLP; each upper bound becomes an explicit "<=" row after
+    ``rows``."""
+    rows = list(rows)
+    for j, hi in enumerate(upper or ()):
+        if hi is not None:
+            rows.append((tuple(int(k == j) for k in range(len(names))), "<=", hi))
     cons = tuple(lp.Constraint(tuple(Q(c) for c in co), rel, Q(b)) for co, rel, b in rows)
     if objective is not None:
         objective = (tuple(Q(c) for c in objective[0]), objective[1])
-    return lp.ExactLP(tuple(names), cons, objective, lower, upper)
+    return lp.ExactLP(tuple(names), cons, objective, lower)
 
 
 def test_optimal_single_constraint():
@@ -124,7 +130,6 @@ def test_random_sweep_witnesses_and_optimality():
                 prob.constraints + (lp.Constraint(coeffs, rel, push),),
                 prob.objective,
                 prob.lower,
-                prob.upper,
             )
             assert isinstance(lp.solve(harder), lp.Infeasible)
     assert n_inf >= 100  # the sweep genuinely exercises the witness path

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from extendkit import xos
+from extendkit import lp, xos
 from extendkit.errors import UnattainableFactor, ValueNotPositive
 from extendkit.ground import PartialSetFunction, Rational as Q, mask_of
 
@@ -33,6 +33,69 @@ def test_roof_symmetric_half_weights():
 def test_roof_uncoverable():
     h = psf(2, ([0], 1))
     assert xos.eval_xos_roof(h, 0b10) is None
+
+
+def _primal_roof(h, target):
+    """The roof as the cover LP itself: min sum a_k f_k over a >= 0 with
+    every element of ``target`` covered at least once; None when
+    infeasible."""
+    n = len(h.points)
+    rows = tuple(
+        lp.Constraint(tuple(Q(mask >> e & 1) for mask, _ in h.points), ">=", Q(1))
+        for e in range(h.m)
+        if target >> e & 1
+    )
+    out = lp.solve(
+        lp.ExactLP(
+            tuple(f"a{k}" for k in range(n)),
+            rows,
+            (tuple(v for _, v in h.points), "min"),
+            lower=(Q(0),) * n,
+        )
+    )
+    return out.value if isinstance(out, lp.Optimal) else None
+
+
+def test_roof_matches_primal_cover_lp():
+    """eval_xos_roof against the primal LP, on instances with duplicate
+    footprints, sets reaching outside the target, the empty target and
+    uncoverable targets: the value, a cover by the weights at that cost,
+    and a dual vector that every defined set bounds and the target meets."""
+    rng = random.Random(41)
+    seen = {"duplicate": 0, "outside": 0, "empty": 0, "uncoverable": 0}
+    for _ in range(300):
+        m = rng.randint(1, 5)
+        masks = rng.sample(range(1 << m), rng.randint(1, min(6, 1 << m)))
+        h = PartialSetFunction(
+            m, tuple((s, Q(rng.randint(0, 9), rng.choice((1, 2, 3, 5)))) for s in masks)
+        )
+        target = rng.randrange(1 << m)
+        footprints = [s & target for s in h.masks if s & target]
+        seen["duplicate"] += len(set(footprints)) < len(footprints)
+        seen["outside"] += any(s & target and s & ~target for s in h.masks)
+        seen["empty"] += target == 0
+        ref = _primal_roof(h, target)
+        got = xos.eval_xos_roof(h, target)
+        if ref is None:
+            seen["uncoverable"] += 1
+            assert got is None
+            continue
+        value, weights, y = got
+        assert value == ref
+        values = h.as_dict()
+        cover = {e: Q(0) for e in range(m) if target >> e & 1}
+        for s, w in weights:
+            assert s in values and w > 0
+            for e in cover:
+                cover[e] += w * (s >> e & 1)
+        assert all(c >= 1 for c in cover.values())
+        assert sum((w * values[s] for s, w in weights), Q(0)) == value
+        assert len(y) == m and all(c >= 0 for c in y)
+        assert all(y[e] == 0 for e in range(m) if not target >> e & 1)
+        for s, v in h.points:
+            assert sum((y[e] for e in range(m) if s >> e & 1), Q(0)) <= v
+        assert sum(y, Q(0)) == value
+    assert min(seen.values()) >= 10, seen
 
 
 def test_extend_linear_function():
