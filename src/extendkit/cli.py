@@ -6,6 +6,7 @@ contract 0 = extendible/accept/valid, 1 = refuted (witness attached),
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -268,7 +269,7 @@ def cmd_test(args) -> int:
     except (ValueError, ZeroDivisionError):
         raise InputError(f"--epsilon must be a rational, got {args.epsilon!r}") from None
     table = oracle.parse_full_table(_read(args.oracle))
-    if any(v < 0 for v in table.values):
+    if table.values.has_negative():
         raise InputError("tester oracles must be nonnegative")
     fn = _TESTERS[args.klass]
     if args.trials == 1:
@@ -365,7 +366,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("extend", help="decide extendibility")
     sp.add_argument("--class", dest="klass", required=True, choices=EXTEND_CLASSES)
     common(sp, cap=True)
-    sp.set_defaults(fn=cmd_extend)
 
     sp = sub.add_parser("approx", help="optimal multiplicative factor")
     sp.add_argument("--class", dest="klass", required=True, choices=APPROX_CLASSES)
@@ -375,7 +375,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="cross-check the convex closed form against the bisection path",
     )
     common(sp, cap=True)
-    sp.set_defaults(fn=cmd_approx)
 
     sp = sub.add_parser("eval", help="evaluate a roof or the canonical extension")
     sp.add_argument("--class", dest="klass", required=True, choices=EVAL_CLASSES)
@@ -387,27 +386,22 @@ def build_parser() -> argparse.ArgumentParser:
         help="dimension guard for vertex enumeration",
     )
     common(sp)
-    sp.set_defaults(fn=cmd_eval)
 
     sp = sub.add_parser("certify", help="extract a submodular non-extension certificate")
     sp.add_argument("--out", help="write the certificate JSON here")
     common(sp, cap=True)
-    sp.set_defaults(fn=cmd_certify)
 
     sp = sub.add_parser("verify-cert", help="check a square certificate")
     sp.add_argument("--cert", required=True)
     common(sp)
-    sp.set_defaults(fn=cmd_verify_cert)
 
     sp = sub.add_parser("rewrite-cert", help="rewrite a certificate into the closure")
     sp.add_argument("--cert", required=True)
     sp.add_argument("--out")
     common(sp)
-    sp.set_defaults(fn=cmd_rewrite_cert)
 
     sp = sub.add_parser("vertices", help="enumerate dual-polyhedron vertices")
     common(sp)
-    sp.set_defaults(fn=cmd_vertices)
 
     sp = sub.add_parser("test", help="run a property tester against an oracle table")
     sp.add_argument("--class", dest="klass", required=True, choices=TEST_CLASSES)
@@ -421,12 +415,10 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         help="worker processes for --trials (at most the trials and the CPUs)",
     )
-    sp.set_defaults(fn=cmd_test)
 
     sp = sub.add_parser("oracle", help="full-domain LP ground truth (small m)")
     sp.add_argument("--class", dest="klass", required=True, choices=oracle.CLASSES)
     common(sp)
-    sp.set_defaults(fn=cmd_oracle)
 
     sp = sub.add_parser("gen", help="random instances")
     sp.add_argument("--kind", required=True, choices=("partial", "antichain", "cert"))
@@ -436,19 +428,25 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--hi", type=int, default=10)
     sp.add_argument("--positive", action="store_true")
     sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    sp.set_defaults(fn=cmd_gen)
 
     return p
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on the first call to main."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
+    # looked up at call time, so that a replaced cmd_* takes effect
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     debug_before = lp.DEBUG
     if getattr(args, "debug_lp", False):
         lp.DEBUG = True
     try:
-        return args.fn(args)
+        return command(args)
     except ResourceCapError as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return EXIT_CAP

@@ -17,7 +17,6 @@ at O(m/word) per operation.
 from __future__ import annotations
 
 import json
-import re
 from dataclasses import dataclass
 from math import lcm
 from typing import Iterable
@@ -39,8 +38,6 @@ except ImportError:  # pragma: no cover
 ZERO = Rational(0)
 ONE = Rational(1)
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
-
 # Classes whose codomain is the nonnegative rationals.
 NONNEGATIVE_CLASSES = frozenset({"subadditive", "subadditive-nonmonotone", "xos"})
 
@@ -49,16 +46,25 @@ def rational(num, den=1) -> Rational:
     return Rational(num, den)
 
 
+def rational_pair(text: str) -> tuple[int, int]:
+    """The literal "p" or "p/q" as the int pair (p, q), not reduced: an
+    optional sign, ASCII digits, and an optional "/" with a nonzero
+    ASCII-digit denominator. Nothing else is accepted (no whitespace, no
+    underscores, no other scripts' digits)."""
+    if isinstance(text, str) and text.isascii():
+        num, slash, den = text.partition("/")
+        signed = num[1:].isdigit() and num[0] in "+-"
+        if (num.isdigit() or signed) and (den.isdigit() or not slash):
+            q = int(den) if slash else 1
+            if q == 0:
+                raise MalformedRational(f"zero denominator: {text!r}")
+            return int(num), q
+    raise MalformedRational(f"not a rational literal: {text!r}")
+
+
 def parse_rational(text: str) -> Rational:
-    """Parse "p" or "p/q" with decimal integer p and positive integer q."""
-    if not isinstance(text, str) or not _RATIONAL_RE.match(text):
-        raise MalformedRational(f"not a rational literal: {text!r}")
-    if "/" in text:
-        p, q = text.split("/")
-        if int(q) == 0:
-            raise MalformedRational(f"zero denominator: {text!r}")
-        return Rational(int(p), int(q))
-    return Rational(int(text))
+    """Parse a literal that rational_pair() accepts."""
+    return Rational(*rational_pair(text))
 
 
 def denominator_lcm(values) -> int:
@@ -142,10 +148,9 @@ class PartialSetFunction:
     def __post_init__(self):
         if self.m <= 0:
             raise MalformedDocument(f"ground-set size must be positive, got {self.m}")
-        full = (1 << self.m) - 1
         seen = set()
         for mask, _value in self.points:
-            if mask & ~full:
+            if mask >> self.m:
                 raise IndexOutOfRange(
                     f"set {sorted(elements(mask))} has elements outside [0,{self.m})"
                 )

@@ -22,8 +22,8 @@ from .ground import (
     is_json_int,
     is_subset,
     lex_key,
-    parse_rational,
     popcount,
+    rational_pair,
 )
 from .submodular import SquareCertificate, square
 
@@ -37,12 +37,56 @@ _MAX_M = {
 }
 
 
+class TableValues:
+    """A full table's values, indexed by bitmask: held as int pairs
+    (numerator, denominator > 0), each made a Rational the first time it
+    is read and kept. Testers read a few thousand of up to 2^20 entries."""
+
+    __slots__ = ("_pairs", "_cache")
+
+    def __init__(self, pairs: list, cache: list | None = None):
+        self._pairs = pairs
+        self._cache = [None] * len(pairs) if cache is None else cache
+
+    @classmethod
+    def of(cls, values) -> "TableValues":
+        cache = [Rational(v) for v in values]
+        return cls([(int(v.numerator), int(v.denominator)) for v in cache], cache)
+
+    def __len__(self) -> int:
+        return len(self._pairs)
+
+    def __getitem__(self, mask: int) -> Rational:
+        value = self._cache[mask]
+        if value is None:
+            value = self._cache[mask] = Rational(*self._pairs[mask])
+        return value
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self._pairs)))
+
+    def __eq__(self, other):
+        if not isinstance(other, TableValues):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    def __hash__(self):
+        return hash(tuple(self))
+
+    def __repr__(self):
+        return f"TableValues({list(self)!r})"
+
+    def has_negative(self) -> bool:
+        return any(p < 0 for p, _q in self._pairs)
+
+
 @dataclass(frozen=True)
 class FullTable:
-    """A complete value table on 2^[m], indexed by bitmask."""
+    """A complete value table on 2^[m], indexed by bitmask. ``values`` may
+    be given as any sequence of rationals; it is kept as TableValues."""
 
     m: int
-    values: tuple
+    values: TableValues
 
     def __post_init__(self):
         if self.m > 20:
@@ -51,6 +95,8 @@ class FullTable:
             raise MalformedDocument(
                 f"table needs {1 << self.m} entries, got {len(self.values)}"
             )
+        if not isinstance(self.values, TableValues):
+            object.__setattr__(self, "values", TableValues.of(self.values))
 
     def as_partial_function(self) -> PartialSetFunction:
         return PartialSetFunction(
@@ -62,6 +108,9 @@ class FullTable:
 
 
 def parse_full_table(data) -> FullTable:
+    """Parse an oracle table in one pass over its literals, which checks
+    every one (a malformed entry anywhere raises MalformedRational) and
+    builds no Rational."""
     if isinstance(data, (bytes, str)):
         try:
             doc = json.loads(data)
@@ -76,7 +125,7 @@ def parse_full_table(data) -> FullTable:
         raise MalformedDocument(f'"m" must be a nonnegative integer, got {m!r}')
     if not isinstance(values, list):
         raise MalformedDocument(f'"values" must be a list, got {type(values).__name__}')
-    return FullTable(m, tuple(parse_rational(v) for v in values))
+    return FullTable(m, TableValues(list(map(rational_pair, values))))
 
 
 # ---------------------------------------------------------------------------

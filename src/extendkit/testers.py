@@ -47,8 +47,7 @@ class FunctionOracle:
     @classmethod
     def from_table(cls, table) -> "FunctionOracle":
         """Wrap a FullTable (anything with .m and mask-indexable .values)."""
-        values = table.values
-        return cls(table.m, lambda mask: values[mask])
+        return cls(table.m, table.values.__getitem__)
 
     def evaluate(self, mask: int) -> Rational:
         self.query_count += 1

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 
 from . import lp
-from .errors import InternalError, UnattainableFactor
+from .errors import InternalError, TooLarge, UnattainableFactor
 from .ground import (
     ONE,
     ZERO,
@@ -29,6 +29,9 @@ from .ground import (
     elements,
     scaled_int,
 )
+
+# The vectors are dense over the ground set [m]: one entry per element.
+MAX_VECTOR_M = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -170,6 +173,8 @@ def eval_xos_roof(h: PartialSetFunction, target: int):
     y . chi(T_k) <= f_k for every defined T_k, and y . chi(target) = value.
     """
     h.require_nonnegative("xos")
+    if h.m > MAX_VECTOR_M:
+        raise TooLarge(f"XOS vectors are dense over [m]; m <= {MAX_VECTOR_M} only")
     elems = elements(target)
     masks, footprints = [], []
     covered = 0

@@ -362,6 +362,9 @@ def test_trials_below_one_is_a_usage_error(files, trials):
         '{"m":-1,"values":[]}',
         '{"m":2,"values":5}',
         '{"m":2,"values":{"0":"1"}}',
+        '{"m":2,"values":["0","1","1","x"]}',
+        '{"m":2,"values":["0","1","1","5\\n"]}',
+        '{"m":2,"values":["0","1","1","\\u0663"]}',
     ],
 )
 def test_malformed_oracle_table_is_an_input_error(tmp_path, doc):
@@ -405,3 +408,142 @@ def test_malformed_certificate_is_an_input_error(files, tmp_path, cert):
     out = run(["verify-cert", "--input", files["cube.json"], "--cert", str(path)])
     assert out.returncode == 2 and out.stdout == ""
     assert "input error" in out.stderr and "Traceback" not in out.stderr
+
+
+# ---------------------------------------------------------------------------
+# the parser is built once per process; dispatch is by command name
+
+WIDE = {
+    "m": 6,
+    "points": [{"set": [i], "value": "1"} for i in range(6)]
+    + [{"set": list(range(6)), "value": "1"}],
+}
+
+
+def test_replaced_command_takes_effect_after_the_parser_is_built(files, monkeypatch, capsys):
+    from extendkit import cli
+
+    argv = ["extend", "--class", "xos", "--input", files["lin.json"]]
+    assert cli.main(argv) == 0  # the parser exists from here on
+    seen = []
+    monkeypatch.setattr(cli, "cmd_extend", lambda args: seen.append(args.klass) or 7)
+    assert cli.main(argv) == 7 and seen == ["xos"]
+
+
+def test_parser_is_built_once_per_process(files, monkeypatch, capsys):
+    from extendkit import cli
+
+    built = []
+    real = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real())
+    cli._parser.cache_clear()
+    calls = [
+        (["extend", "--class", "xos", "--input", files["lin.json"]], 0),
+        (["approx", "--class", "convex", "--input", files["kinkpos.json"]], 0),
+        (["eval", "--class", "convex-roof", "--input", files["kink.json"], "--at", '["1"]'], 0),
+        (["vertices", "--input", files["kink.json"]], 0),
+        (["test", "--class", "xos", "--oracle", files["modular.json"], "--epsilon", "1/4"], 0),
+        (["extend", "--class", "submodular", "--input", files["cube.json"]], 1),
+    ]
+    for argv, code in calls:
+        assert cli.main(argv) == code, argv
+    assert built == [1]
+
+
+def test_flags_do_not_carry_into_the_next_call(tmp_path, monkeypatch, capsys):
+    from extendkit import cli, lp, submodular
+
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(WIDE))
+    argv = ["extend", "--class", "submodular", "--input", str(path)]
+    assert cli.main(argv + ["--cap", "5", "--debug-lp"]) == 3
+    assert "resource cap" in capsys.readouterr().err
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().err == ""
+    seen = []
+    monkeypatch.setattr(cli, "cmd_extend", lambda args: seen.append(args) or 0)
+    cli.main(argv + ["--cap", "5", "--debug-lp"])
+    cli.main(argv)
+    assert (seen[0].cap, seen[0].debug_lp) == (5, True)
+    assert (seen[1].cap, seen[1].debug_lp) == (submodular.DEFAULT_CLOSURE_CAP, False)
+    assert lp.DEBUG is False
+
+
+def test_build_parser_still_parses_on_its_own():
+    from extendkit import cli
+
+    parser = cli.build_parser()
+    assert parser is not cli.build_parser()
+    args = parser.parse_args(["verify-cert", "--input", "h.json", "--cert", "c.json"])
+    assert (args.command, args.input, args.cert) == ("verify-cert", "h.json", "c.json")
+    args = parser.parse_args(["extend", "--class", "xos", "--input", "h.json"])
+    assert (args.command, args.klass, args.debug_lp) == ("extend", "xos", False)
+
+
+# ---------------------------------------------------------------------------
+# oracle tables
+
+
+def _test_table(tmp_path, capsys, values):
+    from extendkit import cli
+
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps({"m": 3, "values": values}))
+    code = cli.main(["test", "--class", "subadditive", "--oracle", str(path), "--epsilon", "1/4"])
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+@pytest.mark.parametrize("zero", ["-0", "-0/3", "+0", "0/7"])
+def test_signed_zero_is_not_negative(tmp_path, capsys, zero):
+    values = [zero, "1", "1", "2", "1", "2", "2", "3"]
+    code, out, _err = _test_table(tmp_path, capsys, values)
+    assert code == 0 and json.loads(out)["verdict"] == "accept"
+
+
+def test_negative_entry_is_an_input_error(tmp_path, capsys):
+    values = ["0", "1", "1", "2", "-1/3", "2", "2", "3"]
+    code, out, err = _test_table(tmp_path, capsys, values)
+    assert code == 2 and out == ""
+    assert "tester oracles must be nonnegative" in err
+
+
+# ---------------------------------------------------------------------------
+# a ground set too large to enumerate
+
+
+def _limited_memory():
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize(
+    "points, klass, code, verdict",
+    [
+        ([], "subadditive", 0, "extendible"),
+        ([], "xos", 0, "extendible"),
+        ([({0}, "1"), ({5}, "2"), ({0, 5}, "4")], "subadditive", 1, "not_extendible"),
+        ([({0}, "1"), ({5}, "2"), ({0, 5}, "2")], "xos", 3, None),
+    ],
+)
+def test_huge_ground_set_is_answered_or_capped(tmp_path, points, klass, code, verdict):
+    """m = 10^11 must not allocate 2^m bits: a correct answer or a resource
+    cap, in a subprocess with 1 GiB of address space and a time limit."""
+    doc = {
+        "m": 100_000_000_000,
+        "points": [{"set": sorted(s), "value": v} for s, v in points],
+    }
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    out = run(
+        ["extend", "--class", klass, "--input", str(path)],
+        timeout=60,
+        preexec_fn=_limited_memory,
+    )
+    assert out.returncode == code, out.stderr
+    assert "Traceback" not in out.stderr
+    if verdict is None:
+        assert out.stdout == "" and out.stderr.startswith("resource cap:")
+    else:
+        assert json.loads(out.stdout)["verdict"] == verdict

@@ -1,6 +1,8 @@
 """Exact arithmetic, set algebra, containers, and JSON round-trips."""
 
 import json
+import re
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -17,6 +19,7 @@ from extendkit.ground import (
     parse_partial_function,
     parse_rational,
     popcount,
+    rational_pair,
     serialize,
     submasks,
 )
@@ -49,9 +52,34 @@ def test_parse_rational():
     assert parse_rational("7/3") == Rational(7, 3)
     assert parse_rational("-7/3") == Rational(-7, 3)
     assert parse_rational("5") == Rational(5)
-    for bad in ("1.5", "a/b", "1/0", "1/-2", "", "3/4/5", "--2"):
+    assert parse_rational("+3/4") == Rational(3, 4)
+    assert parse_rational("-0") == 0 and parse_rational("-0/3") == 0
+    assert parse_rational("007/014") == Rational(1, 2)
+    # int() alone would read whitespace, underscores and other scripts' digits
+    for bad in ("1.5", "a/b", "1/0", "1/-2", "", "3/4/5", "--2", "3/0", "-0/0",
+                "5\n", "\n5", " 5", "5 ", "1_000", "٣", "3/٣", "０", "²", "+", "/",
+                "3/", "/3", "+-3", "3/+4", "0x10", "1e3", 5, None, b"5"):
         with pytest.raises(errors.MalformedRational):
             parse_rational(bad)
+        with pytest.raises(errors.MalformedRational):
+            rational_pair(bad)
+
+
+def test_rational_pair_keeps_the_literal_unreduced():
+    assert rational_pair("6/8") == (6, 8)
+    assert rational_pair("+3") == (3, 1)
+    assert rational_pair("-0/5") == (0, 5)
+
+
+@given(st.text(alphabet="0123456789+-/ \n_٣", max_size=8))
+def test_rational_pair_matches_the_grammar(text):
+    grammar = re.fullmatch(r"[+-]?[0-9]+(/[0-9]+)?", text, re.ASCII)
+    if grammar is None or (grammar.group(1) and int(grammar.group(1)[1:]) == 0):
+        with pytest.raises(errors.MalformedRational):
+            rational_pair(text)
+    else:
+        p, q = rational_pair(text)
+        assert Rational(p, q) == Fraction(text) and q > 0
 
 
 @given(st.sets(st.integers(0, 20)), st.sets(st.integers(0, 20)))

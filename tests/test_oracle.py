@@ -1,13 +1,16 @@
 """Full-domain LP oracles, distance-to-class, and generators."""
 
+import json
 import random
+from fractions import Fraction
 
 import pytest
 
 from extendkit import oracle as orc
 from extendkit import submodular as sm
-from extendkit.errors import TooLarge
-from extendkit.ground import PartialSetFunction, Rational as Q, mask_of, serialize
+from extendkit import testers as ts
+from extendkit.errors import MalformedRational, TooLarge
+from extendkit.ground import PartialSetFunction, Rational as Q, mask_of, popcount, serialize
 
 
 def psf(m, *pairs):
@@ -77,6 +80,56 @@ def test_distance_two_disjoint_violations():
 def test_table_roundtrip():
     table = orc.FullTable(2, (Q(0), Q(1, 2), Q(1), Q(2)))
     assert orc.parse_full_table(serialize(table)) == table
+
+
+def test_parsed_table_reads_each_literal_once():
+    text = '{"m":2,"values":["-0","+3/4","6/8","007"]}'
+    table = orc.parse_full_table(text)
+    assert list(table.values) == [Q(0), Q(3, 4), Q(3, 4), Q(7)]
+    assert table.values[1] is table.values[1]  # built once, then kept
+    assert table == orc.FullTable(2, (Q(0), Q(3, 4), Q(3, 4), Q(7)))
+    assert not table.values.has_negative()
+    assert orc.parse_full_table('{"m":1,"values":["0","-1/3"]}').values.has_negative()
+
+
+@pytest.mark.parametrize("bad", ["x", "5\n", "٣", "1/0", " 1", 1, None])
+def test_malformed_table_entry_anywhere_is_rejected(bad):
+    for index in (0, 5, 7):
+        values = ["1"] * 8
+        values[index] = bad
+        with pytest.raises(MalformedRational):
+            orc.parse_full_table(json.dumps({"m": 3, "values": values}))
+
+
+def _random_table(rng, m):
+    """Mostly monotone values with a few dips and unreduced fractions, as
+    the literals a table file would carry."""
+    literals = []
+    for s in range(1 << m):
+        den = rng.randint(1, 4)
+        num = den * popcount(s) * 2 + rng.randint(-1, 2) * den
+        if rng.random() < 0.05:
+            num = max(0, num - 5 * den)
+        literals.append(f"{max(num, 0)}/{den}" if den > 1 else f"+{max(num, 0)}")
+    return literals
+
+
+@pytest.mark.parametrize("tester", [ts.test_subadditive, ts.test_xos, ts.test_nonmonotone_subadditive])
+def test_tester_reports_on_parsed_and_rational_tables_agree(tester):
+    rng = random.Random(2024)
+    verdicts = set()
+    for trial in range(12):
+        m = rng.randint(3, 7)
+        literals = _random_table(rng, m)
+        parsed = orc.parse_full_table(json.dumps({"m": m, "values": literals}))
+        rationals = tuple(Fraction(x) for x in literals)
+        for eps, seed in ((Fraction(1, 4), trial), (Fraction(1, 10), 100 + trial)):
+            got = tester(ts.FunctionOracle.from_table(parsed), eps, seed)
+            want = tester(ts.FunctionOracle(m, rationals.__getitem__), eps, seed)
+            assert got == want
+            assert serialize(got) == serialize(want)
+            verdicts.add(got.verdict)
+    assert verdicts == {"accept", "reject"}
 
 
 def test_random_antichain_is_antichain():
