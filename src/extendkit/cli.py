@@ -10,18 +10,24 @@ import functools
 import json
 import os
 import sys
-from fractions import Fraction
 
 from . import SCHEMA_VERSION, convex, lp, oracle, subadditive, submodular, testers, xos
-from .errors import CertificateError, ExtendkitError, InputError, ResourceCapError
+from .errors import (
+    CertificateError,
+    ExtendkitError,
+    InputError,
+    ResourceCapError,
+    TooLarge,
+)
 from .ground import (
+    MAX_DENSE_M,
     ConvexPartialFunction,
     PartialSetFunction,
+    Rational,
     elements,
     is_json_int,
     parse_partial_function,
     parse_rational,
-    serialize,
     to_jsonable,
 )
 
@@ -245,7 +251,7 @@ _TESTERS = {
 }
 
 
-def _trial(table, klass: str, eps: Fraction, seed: int):
+def _trial(table, klass: str, eps: Rational, seed: int):
     fn = _TESTERS[klass]
     report = fn(testers.FunctionOracle.from_table(table), eps, seed)
     return to_jsonable(report)
@@ -254,7 +260,7 @@ def _trial(table, klass: str, eps: Fraction, seed: int):
 def _run_trial(table_path: str, klass: str, eps_str: str, seed: int):
     """One trial in a worker process, which parses the table itself."""
     table = oracle.parse_full_table(_read(table_path))
-    return _trial(table, klass, Fraction(eps_str), seed)
+    return _trial(table, klass, Rational(eps_str), seed)
 
 
 def _pool_size(jobs: int, trials: int, cpus: int | None) -> int:
@@ -265,7 +271,7 @@ def _pool_size(jobs: int, trials: int, cpus: int | None) -> int:
 
 def cmd_test(args) -> int:
     try:
-        eps = Fraction(args.epsilon)
+        eps = Rational(args.epsilon)
     except (ValueError, ZeroDivisionError):
         raise InputError(f"--epsilon must be a rational, got {args.epsilon!r}") from None
     table = oracle.parse_full_table(_read(args.oracle))
@@ -310,22 +316,24 @@ def cmd_oracle(args) -> int:
 def cmd_gen(args) -> int:
     import random as _random
 
+    if args.m > MAX_DENSE_M:
+        raise TooLarge(f"generators draw sets over [m]; m <= {MAX_DENSE_M} only")
     rng = _random.Random(args.seed)
     if args.kind == "partial":
         h = oracle.random_partial_function(
             args.m, args.n, (args.lo, args.hi), rng, positive=args.positive
         )
-        _emit(json.loads(serialize(h)))
+        _emit(to_jsonable(h))
     elif args.kind == "antichain":
         fam = oracle.random_antichain(args.m, args.n, rng)
         h = PartialSetFunction(
             args.m,
             tuple((s, oracle.random_rational(rng, args.lo, args.hi)) for s in fam),
         )
-        _emit(json.loads(serialize(h)))
+        _emit(to_jsonable(h))
     else:
         cert, h = oracle.random_valid_square_certificate(args.m, rng)
-        _emit({"certificate": to_jsonable(cert), "function": json.loads(serialize(h))})
+        _emit({"certificate": to_jsonable(cert), "function": to_jsonable(h)})
     return EXIT_OK
 
 

@@ -10,10 +10,11 @@ hull the canonical extension is the max over vertices (y, mu) of the dual
 {T_i . y + mu <= f_i} of x . y + mu, which needs vertex enumeration and is
 exponential in m (it is NP-hard in general), hence the dimension guard.
 
-One exact elimination routine, _eliminate (fraction-free Gauss-Jordan on
-integer rows), serves both the affine dimension and the square solves of
-vertex enumeration; the rows are scaled to integers once and rationals are
-formed only for the vertices that are kept.
+One exact elimination routine, _eliminate (Gauss-Jordan on integer rows by
+lp.pivot, the simplex's fraction-free pivot), serves both the affine
+dimension and the square solves of vertex enumeration; the rows are scaled
+to integers once and rationals are formed only for the vertices that are
+kept.
 """
 
 from __future__ import annotations
@@ -95,17 +96,15 @@ def _integer_row(row) -> list[int]:
 
 
 def _eliminate(rows: list[list[int]], ncols: int):
-    """Fraction-free Gauss-Jordan on integer rows, in place; returns
-    (d, pivots) with pivots the (row, column) pairs in pivot order.
+    """Fraction-free Gauss-Jordan on integer rows by lp.pivot, in place;
+    returns (d, pivots) with pivots the (row, column) pairs in pivot order.
 
     Column c < ncols is pivoted on the first row not yet pivoted with a
-    nonzero entry there, and skipped when there is none. A pivot on
-    p = T[r][c] leaves the pivot row unchanged, sets every other row to
-    T[i][j] = (p*T[i][j] - T[i][c]*T[r][j]) // d and then d = p; the
-    division is exact (Bareiss 1968). So afterwards, for B the input's
-    submatrix on the pivot rows and columns and d = +-det B, the pivot rows
-    hold d * B^-1 times the input's pivot rows: each holds d in its own
-    pivot column, and every pivot column is zero in every other row.
+    nonzero entry there, and skipped when there is none. Afterwards, for
+    B the input's submatrix on the pivot rows and columns and
+    d = |det B| > 0, the pivot rows hold d * B^-1 times the input's pivot
+    rows: each holds d in its own pivot column, and every pivot column is
+    zero in every other row.
     """
     d = 1
     pivots = []
@@ -115,13 +114,7 @@ def _eliminate(rows: list[list[int]], ncols: int):
         if r is None:
             continue
         free.remove(r)
-        prow = rows[r]
-        p = prow[c]
-        for i, row in enumerate(rows):
-            if i != r:
-                f = row[c]
-                rows[i] = [(p * a - f * b) // d for a, b in zip(row, prow)]
-        d = p
+        d = lp.pivot(rows, r, c, d)
         pivots.append((r, c))
     return d, pivots
 
@@ -249,15 +242,14 @@ def enumerate_dual_vertices(ch: ConvexPartialFunction) -> tuple[DualVertex, ...]
     seen = set()
     kept = []
     for subset in combinations(range(n), k):
-        system = [rows[i] for i in subset]
+        # copies: _eliminate updates rows in place
+        system = [list(rows[i]) for i in subset]
         d, pivots = _eliminate(system, k)
         if len(pivots) < k:
             continue  # singular
         x = [0] * k
         for r, c in pivots:
             x[c] = system[r][k]
-        if d < 0:
-            x, d = [-v for v in x], -d
         g = gcd(d, *x)
         key = (tuple(v // g for v in x), d // g)
         if key in seen:

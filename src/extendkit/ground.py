@@ -1,8 +1,8 @@
 """Exact arithmetic, subset algebra, partial-function containers, and the
 JSON interchange format shared by every solver in the package.
 
-Rationals are gmpy2.mpq values (stdlib Fraction is the drop-in fallback):
-always in lowest terms, positive denominator, exact field arithmetic.
+Rationals are stdlib fractions.Fraction values: always in lowest terms,
+positive denominator, exact field arithmetic.
 The exact kernels (the simplex, the cover DPs, dual-vertex enumeration)
 do not add rationals in their inner loops: they scale their inputs once to
 integers over a common denominator with denominator_lcm() and scaled_int(),
@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from fractions import Fraction as Rational
 from math import lcm
 from typing import Iterable
 
@@ -30,20 +31,15 @@ from .errors import (
     ValueNotPositive,
 )
 
-try:
-    from gmpy2 import mpq as Rational
-except ImportError:  # pragma: no cover
-    from fractions import Fraction as Rational
-
 ZERO = Rational(0)
 ONE = Rational(1)
 
+# The largest ground set for work that is dense over [m]: XOS vectors, one
+# fixing walk per element, and the instance generators.
+MAX_DENSE_M = 1 << 16
+
 # Classes whose codomain is the nonnegative rationals.
 NONNEGATIVE_CLASSES = frozenset({"subadditive", "subadditive-nonmonotone", "xos"})
-
-
-def rational(num, den=1) -> Rational:
-    return Rational(num, den)
 
 
 def rational_pair(text: str) -> tuple[int, int]:
@@ -71,7 +67,7 @@ def denominator_lcm(values) -> int:
     """The least common multiple of the values' denominators (1 for none)."""
     out = 1
     for v in values:
-        d = int(v.denominator)
+        d = v.denominator
         if d != 1:
             out = lcm(out, d)
     return out
@@ -79,7 +75,7 @@ def denominator_lcm(values) -> int:
 
 def scaled_int(value, scale: int) -> int:
     """value * scale as an int, for a scale its denominator divides."""
-    return int(value.numerator) * (scale // int(value.denominator))
+    return value.numerator * (scale // value.denominator)
 
 
 def format_rational(value) -> str:
@@ -250,6 +246,17 @@ def _parse_set_array(arr, m: int) -> int:
     return mask_of(arr)
 
 
+def json_document(data):
+    """JSON text (str or bytes) parsed, or an already parsed document as
+    given; text that is not JSON raises MalformedDocument."""
+    if not isinstance(data, (bytes, str)):
+        return data
+    try:
+        return json.loads(data)
+    except ValueError as exc:
+        raise MalformedDocument(f"invalid JSON: {exc}") from exc
+
+
 def parse_partial_function(data, klass: str | None = None):
     """Parse the JSON interchange document into a PartialSetFunction or
     ConvexPartialFunction (dispatching on the "m" / "dim" key).
@@ -257,15 +264,7 @@ def parse_partial_function(data, klass: str | None = None):
     When ``klass`` names a nonnegative class the values are checked here,
     at parse time.
     """
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    if isinstance(data, str):
-        try:
-            doc = json.loads(data)
-        except json.JSONDecodeError as exc:
-            raise MalformedDocument(f"invalid JSON: {exc}") from exc
-    else:
-        doc = data
+    doc = json_document(data)
     if not isinstance(doc, dict):
         raise MalformedDocument("top-level JSON value must be an object")
 
@@ -339,7 +338,7 @@ def to_jsonable(obj):
         return {str(k): to_jsonable(v) for k, v in obj.items()}
     if isinstance(obj, bool) or obj is None or isinstance(obj, (int, str)):
         return obj
-    # rationals (mpq or Fraction) land here
+    # rationals land here
     return format_rational(obj)
 
 

@@ -4,9 +4,11 @@ infeasibility witnesses, and unboundedness rays.
 Every decision procedure in the package funnels through solve(). All
 arithmetic is exact and fraction-free. Each solver row is scaled to integers
 by the lcm of its denominators, and the tableau holds the integers
-T = D * B^-1 [A | b] over one common denominator D = det B > 0. A pivot on
-p = T[r][c] sets T[i][j] = (p*T[i][j] - T[i][c]*T[r][j]) // D and D = p; the
-division is exact (Edmonds 1967, Bareiss 1968), so the simplex takes no gcd.
+T = D * B^-1 [A | b] over one common denominator D = |det B| > 0. A pivot
+on p = T[r][c] sets T[i][j] = (p*T[i][j] - T[i][c]*T[r][j]) // D and D = p;
+the division is exact (Edmonds 1967, Bareiss 1968), so the simplex takes no
+gcd. That pivot, pivot(), is also the elimination step of the convex
+module's square solves.
 Rationals are formed only when an assignment, an optimal value, a ray or a
 set of multipliers is read out.
 
@@ -28,7 +30,6 @@ each exactly before returning it.
 
 from __future__ import annotations
 
-import os
 import sys
 from dataclasses import dataclass
 from math import lcm
@@ -37,7 +38,7 @@ from typing import Optional
 from .errors import DimensionMismatch, InternalError
 from .ground import ONE, ZERO, Rational, denominator_lcm, scaled_int
 
-DEBUG = bool(os.environ.get("EXTENDKIT_DEBUG_LP"))
+DEBUG = False
 
 LE, EQ, GE = "<=", "=", ">="
 _RELATIONS = (LE, EQ, GE)
@@ -128,8 +129,8 @@ def _integer_rows(lp: ExactLP):
         out.append((row, c.relation, scaled_int(c.rhs, s), s))
     for j, b in enumerate(lp.lower or ()):
         if b is not None:
-            s = int(b.denominator)
-            out.append(([(j, s)], GE, int(b.numerator), s))
+            s = b.denominator
+            out.append(([(j, s)], GE, b.numerator, s))
     return out
 
 
@@ -143,7 +144,7 @@ def _combine(lp: ExactLP, irows, mults):
     terms = []  # (row, rhs, signed multiplier numerator, denominator)
     q = 1
     for (row, rel, b, s), lam in zip(irows, mults):
-        num, den = int(lam.numerator), int(lam.denominator)
+        num, den = lam.numerator, lam.denominator
         if num < 0 and rel != EQ:
             return None
         if num:
@@ -175,6 +176,44 @@ def verify_farkas(lp: ExactLP, witness: FarkasWitness) -> bool:
 # simplex internals
 
 
+def pivot(rows, r, c, d):
+    """The fraction-free pivot on p = rows[r][c] of integer rows over the
+    common denominator d > 0, in place; returns the new denominator |p|.
+
+    Every other row becomes T[i][j] = (p*T[i][j] - T[i][c]*T[r][j]) // d,
+    an exact division (Bareiss 1968). When p < 0 the pivot row is negated
+    first, which negates the whole result and keeps the denominator
+    positive. When p == d, rows are updated in place (callers that share a
+    row between systems pass copies).
+    """
+    prow = rows[r]
+    p = prow[c]
+    if p < 0:
+        # negating the whole tableau keeps d > 0; folding the sign into
+        # the pivot row gives every other row the negated update for free
+        p = -p
+        prow = rows[r] = [-v for v in prow]
+    if p == d:
+        # T[i][j] - T[i][c] * T[r][j] / d: only the pivot row's nonzero
+        # columns change, and rows with T[i][c] == 0 not at all
+        nz = [(j, b) for j, b in enumerate(prow) if b]
+        for i, row in enumerate(rows):
+            f = row[c]
+            if f and i != r:
+                for j, b in nz:
+                    row[j] -= f * b // d
+    else:
+        for i, row in enumerate(rows):
+            if i == r:
+                continue
+            f = row[c]
+            if f:
+                rows[i] = [(p * a - f * b) // d for a, b in zip(row, prow)]
+            else:
+                rows[i] = [p * a // d if a else 0 for a in row]
+    return p
+
+
 class _Tableau:
     """Dense integer tableau over the common denominator ``d``.
 
@@ -192,34 +231,7 @@ class _Tableau:
         self.d = 1
 
     def pivot(self, r, c):
-        rows = self.rows
-        prow = rows[r]
-        p = prow[c]
-        if p < 0:
-            # negating the whole tableau keeps d > 0; folding the sign into
-            # the pivot row gives every other row the negated update for free
-            p = -p
-            prow = rows[r] = [-v for v in prow]
-        d = self.d
-        if p == d:
-            # T[i][j] - T[i][c] * T[r][j] / d: only the pivot row's nonzero
-            # columns change, and rows with T[i][c] == 0 not at all
-            nz = [(j, b) for j, b in enumerate(prow) if b]
-            for i, row in enumerate(rows):
-                f = row[c]
-                if f and i != r:
-                    for j, b in nz:
-                        row[j] -= f * b // d
-        else:
-            for i, row in enumerate(rows):
-                if i == r:
-                    continue
-                f = row[c]
-                if f:
-                    rows[i] = [(p * a - f * b) // d for a, b in zip(row, prow)]
-                else:
-                    rows[i] = [p * a // d if a else 0 for a in row]
-        self.d = p
+        self.d = pivot(self.rows, r, c, self.d)
         self.basis[r - 1] = c
 
     def bland_min(self, eligible):
@@ -478,7 +490,7 @@ def solve(lp: ExactLP):
     combined = _combine(lp, irows, dual)
     o = 1 if direction == "max" else -1  # the dual proves o*c.x <= o*value
     certified = combined is not None and all(
-        v * int(a.denominator) == o * combined[2] * int(a.numerator)
+        v * a.denominator == o * combined[2] * a.numerator
         for v, a in zip([*combined[0], combined[1]], [*coeffs, value])
     )
     if not certified or _dot(coeffs, [assignment[name] for name in lp.variables]) != value:

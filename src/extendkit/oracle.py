@@ -6,7 +6,6 @@ modules; that independence is the point.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -21,6 +20,7 @@ from .ground import (
     format_rational,
     is_json_int,
     is_subset,
+    json_document,
     lex_key,
     popcount,
     rational_pair,
@@ -51,7 +51,7 @@ class TableValues:
     @classmethod
     def of(cls, values) -> "TableValues":
         cache = [Rational(v) for v in values]
-        return cls([(int(v.numerator), int(v.denominator)) for v in cache], cache)
+        return cls([(v.numerator, v.denominator) for v in cache], cache)
 
     def __len__(self) -> int:
         return len(self._pairs)
@@ -111,13 +111,7 @@ def parse_full_table(data) -> FullTable:
     """Parse an oracle table in one pass over its literals, which checks
     every one (a malformed entry anywhere raises MalformedRational) and
     builds no Rational."""
-    if isinstance(data, (bytes, str)):
-        try:
-            doc = json.loads(data)
-        except json.JSONDecodeError as exc:
-            raise MalformedDocument(f"invalid JSON: {exc}") from exc
-    else:
-        doc = data
+    doc = json_document(data)
     if not isinstance(doc, dict) or "m" not in doc or "values" not in doc:
         raise MalformedDocument('oracle table needs "m" and "values"')
     m, values = doc["m"], doc["values"]
@@ -298,10 +292,17 @@ def random_partial_function(
 ) -> PartialSetFunction:
     lo, hi = value_range
     first = 0 if allow_empty_set else 1
-    pool = range(first, 1 << m)
-    if n > len(pool):
-        raise InfeasibleParameters(f"cannot pick {n} distinct sets from {len(pool)}")
-    masks = rng.sample(pool, n)
+    if m <= 62:
+        pool = range(first, 1 << m)
+        if n > len(pool):
+            raise InfeasibleParameters(f"cannot pick {n} distinct sets from {len(pool)}")
+        masks = rng.sample(pool, n)
+    else:
+        # len() of a range past sys.maxsize overflows, so draw until n
+        # masks are distinct (from 2^63 or more sets, repeats are rare)
+        masks = {}
+        while len(masks) < n:
+            masks[rng.randrange(first, 1 << m)] = None
     points = []
     for mask in masks:
         v = random_rational(rng, lo, hi)

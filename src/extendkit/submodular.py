@@ -14,7 +14,6 @@ exists; certificates fall out of the Farkas witness of the extension LP.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Optional
 
@@ -27,9 +26,11 @@ from .errors import (
     MalformedCircuit,
     MalformedDocument,
     MergeStuck,
+    TooLarge,
     WitnessInvalid,
 )
 from .ground import (
+    MAX_DENSE_M,
     ONE,
     ZERO,
     PartialSetFunction,
@@ -38,6 +39,7 @@ from .ground import (
     elements,
     is_json_int,
     is_subset,
+    json_document,
     lex_key,
     scaled_int,
 )
@@ -168,13 +170,7 @@ class SquareCertificate:
 def parse_square_certificate(data, context: PartialSetFunction | None = None):
     """Load the certificate JSON ({"m":..., "tuples":[{"a":...,"b":...,
     "count":...}]}); top and bottom points are recomputed."""
-    if isinstance(data, (bytes, str)):
-        try:
-            doc = json.loads(data)
-        except json.JSONDecodeError as exc:
-            raise MalformedDocument(f"invalid JSON: {exc}") from exc
-    else:
-        doc = data
+    doc = json_document(data)
     if not isinstance(doc, dict) or not isinstance(doc.get("tuples"), list):
         raise MalformedDocument('certificate document needs a "tuples" array')
     m = doc.get("m", context.m if context is not None else None)
@@ -455,7 +451,6 @@ class BooleanCircuitCertificate:
             raise MalformedCircuit("duplicate gate ids")
         if len(self.creators) != len(self.gates):
             raise MalformedCircuit("creator map must cover every gate")
-        full = (1 << self.m) - 1
         and_pairs: list[frozenset[int]] = []
         or_pairs: list[frozenset[int]] = []
         for g in self.gates:
@@ -480,7 +475,7 @@ class BooleanCircuitCertificate:
             )
         creator = dict(zip(ids, self.creators))
         for s in self.creators:
-            if s & ~full:
+            if s >> self.m:
                 raise MalformedCircuit("creator outside the ground set")
         for g in self.gates:
             if g.op == "and":
@@ -876,6 +871,8 @@ def lattice_rewrite(cert: SquareCertificate, h: PartialSetFunction) -> SquareCer
     closure (indeed in the interval family) of the defined sets: convert
     to a boolean certificate, replace each creator by the bits the fixing
     walk forces coordinatewise (unfixed gates take 1), convert back."""
+    if cert.m > MAX_DENSE_M:
+        raise TooLarge(f"the rewrite walks once per element; m <= {MAX_DENSE_M} only")
     if cert.context is None:
         cert = SquareCertificate(cert.m, cert.tuples, h)
     if not verify_square_certificate(cert, h):

@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Optional
 
 from .errors import EpsilonOutOfRange, InternalError, TooLarge
@@ -60,11 +59,11 @@ class FunctionOracle:
         )
 
 
-def _as_fraction(epsilon) -> Fraction:
+def _as_rational(epsilon) -> Rational:
     if isinstance(epsilon, float):
-        eps = Fraction(str(epsilon))
+        eps = Rational(str(epsilon))
     else:
-        eps = Fraction(epsilon)
+        eps = Rational(epsilon)
     if not 0 < eps < 1:
         raise EpsilonOutOfRange(f"epsilon must lie in (0,1), got {epsilon}")
     return eps
@@ -72,7 +71,7 @@ def _as_fraction(epsilon) -> Fraction:
 
 def layer_bounds(m: int, epsilon, variant: str) -> tuple[int, int, float]:
     """(kmin, kmax, lambda) for M_lambda."""
-    eps = _as_fraction(epsilon)
+    eps = _as_rational(epsilon)
     lam = math.sqrt(math.log(4 / float(eps)))
     hw = lam * math.sqrt(m)
     kmax = min(m, math.floor(m / 2 + hw))
@@ -105,7 +104,7 @@ def query_bound(m: int, epsilon, variant: str) -> float:
     """The class bound on total queries: |Q(T)|/eps with |Q(T)| at most
     2^(m/2 + lambda sqrt(m)) (monotone testers) or the layer-restricted
     subset count (nonmonotone)."""
-    eps = _as_fraction(epsilon)
+    eps = _as_rational(epsilon)
     kmin, kmax, lam = layer_bounds(m, epsilon, variant)
     if variant == ONESIDED:
         per_iter = 2.0 ** (m / 2 + lam * math.sqrt(m))
@@ -264,91 +263,78 @@ def fractional_cover_min(values: dict[int, Rational], target: int):
 # the testers
 
 
-def _prepare(epsilon, rng):
-    eps = _as_fraction(epsilon)
-    iterations = math.ceil(1 / eps)
+def _run(oracle: FunctionOracle, epsilon, rng, variant: str, queried, checks):
+    """The testers' one loop: ceil(1/eps) draws of T from M_lambda, the
+    oracle read once at each set of ``queried(T)``, and a rejection at the
+    first witness one of ``checks(T, values)`` returns."""
+    eps = _as_rational(epsilon)
     if isinstance(rng, random.Random):
-        return eps, iterations, rng, None
-    seed = int(rng)
-    return eps, iterations, random.Random(seed), seed
+        seed = None
+    else:
+        seed = int(rng)
+        rng = random.Random(seed)
+    if oracle.m > 24:
+        raise TooLarge("testers query subsets of the drawn set; m <= 24 only")
+    iterations = math.ceil(1 / eps)
+    start = oracle.query_count
+    for it in range(1, iterations + 1):
+        target = sample_M_lambda(oracle.m, eps, variant, rng)
+        values = {s: oracle.evaluate(s) for s in queried(target)}
+        for check in checks:
+            w = check(target, values)
+            if w is not None:
+                return TesterReport("reject", oracle.query_count - start, w, it, seed)
+    return TesterReport("accept", oracle.query_count - start, None, iterations, seed)
 
 
-def _iteration_values(oracle, masks) -> dict[int, Rational]:
-    # per-iteration cache: each distinct set is queried exactly once
-    return {s: oracle.evaluate(s) for s in masks}
+def _monotonicity_violation(target, values):
+    ft = values[target]
+    for s, v in values.items():
+        if s != target and v > ft:
+            return MonotonicityWitness(target, s, ft, v)
+    return None
+
+
+def _union_cover_violation(target, values):
+    hit = min_union_cover(values, target, values.keys())
+    if hit is not None and hit[0] < values[target]:
+        return CoverViolation(target, hit[1], hit[0], values[target])
+    return None
+
+
+def _fractional_cover_violation(target, values):
+    cost, weights = fractional_cover_min(values, target)
+    if cost < values[target]:
+        return XosNotExtendible(target, weights, cost, values[target])
+    return None
 
 
 def test_subadditive(oracle: FunctionOracle, epsilon, rng) -> TesterReport:
     """Monotone subadditive tester: draw T from the one-sided M_lambda,
     query all subsets, reject on f(T) < f(T') for T' inside T or on an
     exact-union cover cheaper than f(T)."""
-    eps, iterations, rng, seed = _prepare(epsilon, rng)
-    if oracle.m > 24:
-        raise TooLarge("testers query 2^|T| sets; m <= 24 only")
-    start = oracle.query_count
-    for it in range(1, iterations + 1):
-        target = sample_M_lambda(oracle.m, eps, ONESIDED, rng)
-        subs = submasks(target)
-        values = _iteration_values(oracle, subs)
-        ft = values[target]
-        for s in subs:
-            if s != target and values[s] > ft:
-                w = MonotonicityWitness(target, s, ft, values[s])
-                return TesterReport(
-                    "reject", oracle.query_count - start, w, it, seed
-                )
-        hit = min_union_cover(values, target, values.keys())
-        if hit is not None and hit[0] < ft:
-            cost, cover = hit
-            w = CoverViolation(target, cover, cost, ft)
-            return TesterReport("reject", oracle.query_count - start, w, it, seed)
-    return TesterReport("accept", oracle.query_count - start, None, iterations, seed)
+    return _run(
+        oracle, epsilon, rng, ONESIDED, submasks,
+        (_monotonicity_violation, _union_cover_violation),
+    )
 
 
 def test_xos(oracle: FunctionOracle, epsilon, rng) -> TesterReport:
     """XOS tester: like the subadditive tester but the cover check is the
     fractional-cover LP over the subsets of T."""
-    eps, iterations, rng, seed = _prepare(epsilon, rng)
-    if oracle.m > 24:
-        raise TooLarge("testers query 2^|T| sets; m <= 24 only")
-    start = oracle.query_count
-    for it in range(1, iterations + 1):
-        target = sample_M_lambda(oracle.m, eps, ONESIDED, rng)
-        subs = submasks(target)
-        values = _iteration_values(oracle, subs)
-        ft = values[target]
-        for s in subs:
-            if s != target and values[s] > ft:
-                w = MonotonicityWitness(target, s, ft, values[s])
-                return TesterReport(
-                    "reject", oracle.query_count - start, w, it, seed
-                )
-        cost, weights = fractional_cover_min(values, target)
-        if cost < ft:
-            w = XosNotExtendible(target, weights, cost, ft)
-            return TesterReport("reject", oracle.query_count - start, w, it, seed)
-    return TesterReport("accept", oracle.query_count - start, None, iterations, seed)
+    return _run(
+        oracle, epsilon, rng, ONESIDED, submasks,
+        (_monotonicity_violation, _fractional_cover_violation),
+    )
 
 
 def test_nonmonotone_subadditive(oracle: FunctionOracle, epsilon, rng) -> TesterReport:
     """Nonmonotone subadditive tester: two-sided M_lambda, queries only
     Q(T) = subsets of T inside M_lambda, rejects only on exact-union
     covers by Q(T) members."""
-    eps, iterations, rng, seed = _prepare(epsilon, rng)
-    if oracle.m > 24:
-        raise TooLarge("testers query subsets of the drawn set; m <= 24 only")
-    kmin, kmax, _ = layer_bounds(oracle.m, eps, TWOSIDED)
-    start = oracle.query_count
-    for it in range(1, iterations + 1):
-        target = sample_M_lambda(oracle.m, eps, TWOSIDED, rng)
-        qt = [
-            s for s in submasks(target) if kmin <= popcount(s) <= kmax
-        ]
-        values = _iteration_values(oracle, qt)
-        ft = values[target]
-        hit = min_union_cover(values, target, set(values.keys()))
-        if hit is not None and hit[0] < ft:
-            cost, cover = hit
-            w = CoverViolation(target, cover, cost, ft)
-            return TesterReport("reject", oracle.query_count - start, w, it, seed)
-    return TesterReport("accept", oracle.query_count - start, None, iterations, seed)
+    kmin, kmax, _ = layer_bounds(oracle.m, epsilon, TWOSIDED)
+
+    def in_band(target):
+        return [s for s in submasks(target) if kmin <= popcount(s) <= kmax]
+
+    return _run(oracle, epsilon, rng, TWOSIDED, in_band, (_union_cover_violation,))

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from . import lp
 from .errors import InternalError, TooLarge, UnattainableFactor
 from .ground import (
+    MAX_DENSE_M,
     ONE,
     ZERO,
     PartialSetFunction,
@@ -29,9 +30,6 @@ from .ground import (
     elements,
     scaled_int,
 )
-
-# The vectors are dense over the ground set [m]: one entry per element.
-MAX_VECTOR_M = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -173,8 +171,8 @@ def eval_xos_roof(h: PartialSetFunction, target: int):
     y . chi(T_k) <= f_k for every defined T_k, and y . chi(target) = value.
     """
     h.require_nonnegative("xos")
-    if h.m > MAX_VECTOR_M:
-        raise TooLarge(f"XOS vectors are dense over [m]; m <= {MAX_VECTOR_M} only")
+    if h.m > MAX_DENSE_M:
+        raise TooLarge(f"XOS vectors are dense over [m]; m <= {MAX_DENSE_M} only")
     elems = elements(target)
     masks, footprints = [], []
     covered = 0

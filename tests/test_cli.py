@@ -279,6 +279,15 @@ def test_debug_lp_does_not_leak_into_later_calls(files, capsys):
     assert capsys.readouterr().err == ""
 
 
+def test_debug_lp_has_no_environment_switch(files):
+    """--debug-lp is the one switch for the pivot trace."""
+    import os
+
+    argv = ["extend", "--class", "submodular", "--input", files["cube.json"]]
+    out = run(argv, env={**os.environ, "EXTENDKIT_DEBUG_LP": "1"})
+    assert out.returncode == 1 and out.stderr == ""
+
+
 def test_refutation_unchanged_under_python_O(files):
     argv = ["extend", "--class", "submodular", "--input", files["cube.json"]]
     plain = run(argv)
@@ -547,3 +556,30 @@ def test_huge_ground_set_is_answered_or_capped(tmp_path, points, klass, code, ve
         assert out.stdout == "" and out.stderr.startswith("resource cap:")
     else:
         assert json.loads(out.stdout)["verdict"] == verdict
+
+
+@pytest.mark.parametrize("m", [63, 100_000_000_000])
+def test_large_m_gen_and_rewrite_are_answered_or_capped(tmp_path, m):
+    """gen past the 62-element draw and rewrite-cert exit 0 or 3 (a cap
+    past 2^16 elements) without a traceback, in a subprocess with 1 GiB of
+    address space and a time limit."""
+    for kind in ("partial", "antichain", "cert"):
+        out = run(["gen", "--kind", kind, "--m", str(m)], timeout=60,
+                  preexec_fn=_limited_memory)
+        assert out.returncode == (0 if m == 63 else 3), out.stderr
+        assert "Traceback" not in out.stderr
+        if m == 63:
+            assert json.loads(out.stdout)
+    # one square {0}, {1} over a function that breaks submodularity there
+    cert, inst = tmp_path / "cert.json", tmp_path / "inst.json"
+    cert.write_text(json.dumps({"m": m, "tuples": [{"a": [0], "b": [1], "count": 1}]}))
+    values = [([], "0"), ([0], "1"), ([1], "1"), ([0, 1], "3")]
+    inst.write_text(json.dumps(
+        {"m": m, "points": [{"set": s, "value": v} for s, v in values]}
+    ))
+    out = run(["rewrite-cert", "--cert", str(cert), "--input", str(inst)],
+              timeout=60, preexec_fn=_limited_memory)
+    assert out.returncode == (0 if m == 63 else 3), out.stderr
+    assert "Traceback" not in out.stderr
+    if m == 63:
+        assert json.loads(out.stdout)["sizes"] == {"input": 1, "output": 1}

@@ -15,6 +15,7 @@ from extendkit.ground import (
     elements,
     format_rational,
     is_subset,
+    json_document,
     mask_of,
     parse_partial_function,
     parse_rational,
@@ -134,6 +135,20 @@ def test_parse_errors():
         )
     # negative values are fine for submodular inputs
     parse_partial_function('{"m":2,"points":[{"set":[0],"value":"-1"}]}')
+
+
+def test_json_documents_share_one_loader():
+    from extendkit.oracle import parse_full_table
+    from extendkit.submodular import parse_square_certificate
+
+    assert json_document('{"m":1}') == json_document(b'{"m":1}') == {"m": 1}
+    doc = {"m": 1}
+    assert json_document(doc) is doc
+    for parse in (json_document, parse_partial_function, parse_full_table,
+                  parse_square_certificate):
+        for text in ("{", b"{", b"\xff"):
+            with pytest.raises(errors.MalformedDocument, match="invalid JSON"):
+                parse(text)
 
 
 def test_serialize_sorts_sets_canonically():

@@ -23,3 +23,22 @@ def test_self_checks_survive_python_O():
             ):
                 found.append(f"{path.name}:{node.lineno}")
     assert not found
+
+
+def test_one_rational_type():
+    """Fraction is bound once, as ground.Rational; every other module takes
+    Rational from ground, and gmpy2 is imported nowhere."""
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            for name in names:
+                top = name.split(".")[0]
+                if top == "gmpy2" or (top == "fractions" and path.name != "ground.py"):
+                    found.append(f"{path.name}:{node.lineno} {name}")
+    assert not found

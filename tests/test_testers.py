@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from extendkit import testers as ts
-from extendkit.errors import EpsilonOutOfRange
+from extendkit.errors import EpsilonOutOfRange, TooLarge
 from extendkit.ground import Rational as Q, elements, popcount
 
 EPS = Fraction(1, 4)
@@ -54,6 +54,18 @@ def test_epsilon_validation():
         ts.sample_M_lambda(4, 0, "onesided", random.Random(0))
     with pytest.raises(EpsilonOutOfRange):
         ts.sample_M_lambda(4, Fraction(3, 2), "onesided", random.Random(0))
+
+
+@pytest.mark.parametrize(
+    "tester", [ts.test_subadditive, ts.test_xos, ts.test_nonmonotone_subadditive]
+)
+def test_testers_refuse_more_than_24_elements(tester):
+    oracle = ts.FunctionOracle(25, lambda mask: Q(0))
+    with pytest.raises(TooLarge):
+        tester(oracle, EPS, 1)
+    assert oracle.query_count == 0
+    # one element fewer runs
+    assert tester(ts.FunctionOracle(24, lambda mask: Q(0)), Fraction(1, 2), 1).verdict == "accept"
 
 
 def test_sample_support_onesided():
