@@ -33,6 +33,10 @@ from .ground import (
 
 DEFAULT_SEED = 20240917
 
+# The most sets `gen` draws; the antichain generator checks each draw
+# against every set picked so far.
+MAX_GEN_N = 1 << 12
+
 EXIT_OK = 0
 EXIT_REFUTED = 1
 EXIT_USAGE = 2
@@ -318,6 +322,12 @@ def cmd_gen(args) -> int:
 
     if args.m > MAX_DENSE_M:
         raise TooLarge(f"generators draw sets over [m]; m <= {MAX_DENSE_M} only")
+    if args.n > MAX_GEN_N:
+        raise TooLarge(f"generators draw --n sets; n <= {MAX_GEN_N} only")
+    if args.m < 0 or args.n < 0 or args.lo > args.hi:
+        raise InputError("--m and --n must be nonnegative and --lo at most --hi")
+    if args.positive and args.hi <= 0:
+        raise InputError("--positive needs --hi above 0")
     rng = _random.Random(args.seed)
     if args.kind == "partial":
         h = oracle.random_partial_function(
@@ -458,7 +468,7 @@ def main(argv=None) -> int:
     except ResourceCapError as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except (InputError, OSError, json.JSONDecodeError, ValueError) as exc:
+    except (InputError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except CertificateError as exc:
@@ -466,6 +476,10 @@ def main(argv=None) -> int:
         return EXIT_REFUTED
     except ExtendkitError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except Exception as exc:
+        # anything else is a bug; it must not exit 1, which means "refuted"
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_USAGE
     finally:
         lp.DEBUG = debug_before

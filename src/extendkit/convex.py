@@ -29,6 +29,7 @@ from .errors import (
     DegenerateHull,
     DimensionMismatch,
     InternalError,
+    MalformedDocument,
     TooLarge,
     ValueNotPositive,
 )
@@ -82,7 +83,7 @@ def affine_dimension(points) -> int:
     elimination takes on the difference set."""
     pts = [tuple(Rational(c) for c in p) for p in points]
     if not pts:
-        raise ValueError("need at least one point")
+        raise MalformedDocument("need at least one point")
     base = pts[0]
     rows = [_integer_row([c - b for c, b in zip(p, base)]) for p in pts[1:]]
     _d, pivots = _eliminate(rows, len(base))

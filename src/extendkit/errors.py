@@ -98,9 +98,5 @@ class MalformedCircuit(CertificateError):
     pass
 
 
-class InvariantBroken(CertificateError):
-    pass
-
-
 class IncompleteAssignment(CertificateError):
     pass

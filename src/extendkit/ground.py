@@ -34,8 +34,8 @@ from .errors import (
 ZERO = Rational(0)
 ONE = Rational(1)
 
-# The largest ground set for work that is dense over [m]: XOS vectors, one
-# fixing walk per element, and the instance generators.
+# The largest ground set for work that is dense over [m]: XOS vectors, the
+# m-bit masks of the certificate rewrite, and the instance generators.
 MAX_DENSE_M = 1 << 16
 
 # Classes whose codomain is the nonnegative rationals.

@@ -1,7 +1,8 @@
 """Submodular extension over the interval family of the lattice closure,
-square certificates of non-extendibility, their boolean-circuit form, the
-fixing algorithm for cyclic monotone circuits, and certificate rewriting
-into the lattice closure.
+square certificates of non-extendibility, their boolean-circuit form,
+fixing for cyclic monotone circuits (one least fixpoint of the fixing
+rules on bitmasks, one bit per coordinate), and certificate rewriting
+into the lattice closure by one fixing run over all m coordinates.
 
 Square certificates: a multiset of tuples ({A,B}, A|B, A&B) such that
 every set appearing unequally often as a middle point and as a
@@ -22,7 +23,6 @@ from .errors import (
     ClosureCapExceeded,
     IncompleteAssignment,
     InternalError,
-    InvariantBroken,
     MalformedCircuit,
     MalformedDocument,
     MergeStuck,
@@ -45,6 +45,7 @@ from .ground import (
 )
 
 DEFAULT_CLOSURE_CAP = 50_000
+MAX_REWRITE_SIZE = 1 << 14  # certificate size (sum of counts) lattice_rewrite takes
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +401,6 @@ class BooleanCircuitCertificate:
     def __post_init__(self):
         object.__setattr__(self, "_in", None)
         object.__setattr__(self, "_out", None)
-        object.__setattr__(self, "_index", {g.gid: i for i, g in enumerate(self.gates)})
 
     def in_edges(self) -> dict[int, tuple[int, ...]]:
         if self._in is None:
@@ -430,19 +430,6 @@ class BooleanCircuitCertificate:
 
     def intermediate_ids(self) -> tuple[int, ...]:
         return tuple(g.gid for g in self.gates if g.role == "im")
-
-    def gate(self, gid: int) -> Gate:
-        return self.gates[self._index[gid]]
-
-    def targets(self, gid: int) -> tuple[int, int, int]:
-        """(or-target, and-target, sibling) of a non-output gate."""
-        outs = self.out_edges()[gid]
-        ops = {t: self.gate(t).op for t in outs}
-        or_t = next(t for t in outs if ops[t] == "or")
-        and_t = next(t for t in outs if ops[t] == "and")
-        ins = self.in_edges()[or_t]
-        sibling = ins[0] if ins[1] == gid else ins[1]
-        return or_t, and_t, sibling
 
     def validate(self) -> None:
         ins, outs = self.in_edges(), self.out_edges()
@@ -560,38 +547,26 @@ def square_to_boolean(cert: SquareCertificate) -> BooleanCircuitCertificate:
     if not op_of:
         raise MergeStuck("certificate holds only trivial or comparable squares")
 
+    # Every gate is an input or an output here, and a merge leaves every
+    # other gate's role as it was, so the merges per creator are its
+    # inputs zipped with its outputs, in creation order.
+    by_creator: dict[int, tuple[list[int], list[int]]] = {}
+    for gid in op_of:
+        entry = by_creator.setdefault(creator[gid], ([], []))
+        entry[0 if is_input[gid] else 1].append(gid)
     alive = set(op_of)
-
-    def mergeable():
-        by_creator: dict[int, tuple[list[int], list[int]]] = {}
-        for gid in alive:
-            entry = by_creator.setdefault(creator[gid], ([], []))
-            if is_input[gid]:
-                entry[0].append(gid)
-            elif not outs[gid]:
-                entry[1].append(gid)
-        cands = {c: e for c, e in by_creator.items() if e[0] and e[1]}
-        if not cands:
-            return None
-        c = min(cands, key=lex_key)
-        inputs_c, outputs_c = cands[c]
-        return min(inputs_c), min(outputs_c)
-
-    while True:
-        pair = mergeable()
-        if pair is None:
-            break
-        g_in, g_out = pair
-        g3 = new_gate(op_of[g_out], creator[g_in], ())
-        ins[g3] = list(ins[g_out])
-        outs[g3] = list(outs[g_in])
-        for u in ins[g3]:
-            outs[u] = [g3 if x == g_out else x for x in outs[u]]
-        for v in outs[g3]:
-            ins[v] = [g3 if x == g_in else x for x in ins[v]]
-        alive.discard(g_in)
-        alive.discard(g_out)
-        alive.add(g3)
+    for c in sorted(by_creator, key=lex_key):
+        for g_in, g_out in zip(*by_creator[c]):
+            g3 = new_gate(op_of[g_out], creator[g_in], ())
+            ins[g3] = list(ins[g_out])
+            outs[g3] = list(outs[g_in])
+            for u in ins[g3]:
+                outs[u] = [g3 if x == g_out else x for x in outs[u]]
+            for v in outs[g3]:
+                ins[v] = [g3 if x == g_in else x for x in ins[v]]
+            alive.discard(g_in)
+            alive.discard(g_out)
+            alive.add(g3)
 
     defined = set(h.masks)
     for gid in alive:
@@ -632,7 +607,7 @@ def boolean_to_square(bc: BooleanCircuitCertificate) -> SquareCertificate:
     is_input = {g.gid: g.role == "ip" for g in bc.gates}
     nxt = max(op_of) + 1 if op_of else 0
 
-    for g in [g.gid for g in bc.gates if bc.gate(g.gid).role == "im"]:
+    for g in [g.gid for g in bc.gates if g.role == "im"]:
         gin = nxt
         nxt += 1
         op_of[gin] = "input"
@@ -674,33 +649,61 @@ def boolean_to_square(bc: BooleanCircuitCertificate) -> SquareCertificate:
 
 @dataclass(frozen=True)
 class FixReport:
-    """Per-gate result of the fixing walk; fixed gates carry a proof tree.
+    """Per-gate result of fixing: the bit of every fixed gate, and the
+    gates that the inputs leave unfixed."""
 
-    A proof is a nested tuple: ("leaf", gate, bit) at input gates,
-    ("one", gate, bit, child) for single-child steps, and
-    ("two", gate, bit, left, right) for two-child steps. A gate may label
-    several nodes when subproofs are shared; each tree edge is a circuit
-    edge directed toward the root.
-    """
-
-    fixed: dict[int, tuple[int, tuple]]
+    fixed: dict[int, int]
     unfixed: frozenset[int]
 
     def bit(self, gid: int) -> Optional[int]:
-        entry = self.fixed.get(gid)
-        return entry[0] if entry else None
+        return self.fixed.get(gid)
+
+
+def _fix(bc: BooleanCircuitCertificate, ones, zeros):
+    """Least fixpoint of the fixing rules on bitmasks, one bit per
+    coordinate: AND is 0 from one child and 1 from both, OR is 1 from one
+    child and 0 from both. ``ones``/``zeros`` map each input gate to the
+    coordinates where it is 1/0; returns (one, zero), the same maps for
+    every gate. Raises InternalError when a gate is fixed to both bits or
+    an output gate is unfixed on some coordinate."""
+    one = {g.gid: 0 for g in bc.gates}
+    zero = dict(one)
+    one.update(ones)
+    zero.update(zeros)
+    full = 0
+    for x in ones:
+        full |= one[x] | zero[x]
+    ins, outs = bc.in_edges(), bc.out_edges()
+    is_and = {g.gid: g.op == "and" for g in bc.gates}
+    pending = [g.gid for g in reversed(bc.gates) if g.op != "input"]
+    queued = set(pending)
+    while pending:
+        g = pending.pop()
+        queued.discard(g)
+        u, v = ins[g]
+        if is_and[g]:
+            o, z = one[u] & one[v], zero[u] | zero[v]
+        else:
+            o, z = one[u] | one[v], zero[u] & zero[v]
+        if o != one[g] or z != zero[g]:
+            one[g], zero[g] = o, z
+            for w in outs[g]:
+                if w not in queued:
+                    queued.add(w)
+                    pending.append(w)
+    for g in bc.gates:
+        if one[g.gid] & zero[g.gid]:
+            raise InternalError(f"internal error: gate {g.gid} is fixed to both bits")
+        if g.role == "op" and one[g.gid] | zero[g.gid] != full:
+            raise InternalError("internal error: fixing left an output gate unfixed")
+    return one, zero
 
 
 def fixing_algorithm(bc: BooleanCircuitCertificate, inputs) -> FixReport:
-    """The deterministic fixing walk: from each input gate in order, push
-    forced values through the paired OR/AND targets until an output gate
-    is reached. Every output gate ends up fixed.
-
-    The walk discovers a subset of the gates that are fixed in the
-    proof-tree sense; a saturation pass afterwards closes the report under
-    the derivation rules, so Fixed/Unfixed reflects fixedness itself (this
-    is what makes the fixed-functions assignment monotone in the inputs).
-    """
+    """Fix the gates forced by one bit per input gate, in input-id order:
+    the least fixpoint of the fixing rules, so Fixed/Unfixed is fixedness
+    itself (which makes the fixed-functions assignment monotone in the
+    inputs). Every output gate ends up fixed."""
     ips = bc.input_ids()
     if len(inputs) != len(ips):
         raise IncompleteAssignment(
@@ -708,133 +711,12 @@ def fixing_algorithm(bc: BooleanCircuitCertificate, inputs) -> FixReport:
         )
     if any(b not in (0, 1) for b in inputs):
         raise IncompleteAssignment("input bits must be 0 or 1")
-    val: dict[int, int] = {}
-    proof: dict[int, tuple] = {}
-    roles = {g.gid: g.role for g in bc.gates}
-    for x, bit in zip(ips, inputs):
-        val[x] = bit
-        proof[x] = ("leaf", x, bit)
-        cg = x
-        while roles[cg] != "op":
-            g_or, g_and, sib = bc.targets(cg)
-            vor, vand = val.get(g_or), val.get(g_and)
-            b = val[cg]
-            if vor is not None and vand is not None:
-                raise InvariantBroken(
-                    "both paired targets already valued; certificate invalid"
-                )
-            if vor is not None:
-                # the OR got its value without cg, so the sibling is fixed to 1
-                if val.get(sib) != 1:
-                    raise InvariantBroken("sibling of a valued OR is not fixed to 1")
-                proof[g_and] = (
-                    ("two", g_and, 1, proof[cg], proof[sib])
-                    if b == 1
-                    else ("one", g_and, 0, proof[cg])
-                )
-                val[g_and] = b
-                cg = g_and
-            elif vand is not None:
-                if val.get(sib) != 0:
-                    raise InvariantBroken("sibling of a valued AND is not fixed to 0")
-                proof[g_or] = (
-                    ("two", g_or, 0, proof[cg], proof[sib])
-                    if b == 0
-                    else ("one", g_or, 1, proof[cg])
-                )
-                val[g_or] = b
-                cg = g_or
-            elif b == 0:
-                val[g_and] = 0
-                proof[g_and] = ("one", g_and, 0, proof[cg])
-                cg = g_and
-            else:
-                val[g_or] = 1
-                proof[g_or] = ("one", g_or, 1, proof[cg])
-                cg = g_or
-    if not all(o in val for o in bc.output_ids()):
-        raise InternalError("internal error: the fixing walk left an output gate unfixed")
-
-    # saturate: close the walk's fixes under the one-child/two-child rules
-    ins = bc.in_edges()
-    logic = [g for g in bc.gates if g.op != "input"]
-    changed = True
-    while changed:
-        changed = False
-        for g in logic:
-            if g.gid in val:
-                continue
-            u, v = ins[g.gid]
-            bu, bv = val.get(u), val.get(v)
-            if g.op == "and":
-                if bu == 0 or bv == 0:
-                    child = u if bu == 0 else v
-                    val[g.gid] = 0
-                    proof[g.gid] = ("one", g.gid, 0, proof[child])
-                elif bu == 1 and bv == 1:
-                    val[g.gid] = 1
-                    proof[g.gid] = ("two", g.gid, 1, proof[u], proof[v])
-            else:
-                if bu == 1 or bv == 1:
-                    child = u if bu == 1 else v
-                    val[g.gid] = 1
-                    proof[g.gid] = ("one", g.gid, 1, proof[child])
-                elif bu == 0 and bv == 0:
-                    val[g.gid] = 0
-                    proof[g.gid] = ("two", g.gid, 0, proof[u], proof[v])
-            if g.gid in val:
-                changed = True
-
-    fixed = {g: (val[g], proof[g]) for g in val}
-    unfixed = frozenset(g.gid for g in bc.gates if g.gid not in val)
-    report = FixReport(fixed, unfixed)
-    for gid, (bit, prf) in report.fixed.items():
-        validate_proof(bc, inputs, gid, bit, prf)
-    return report
-
-
-def validate_proof(bc, inputs, gid, bit, prf) -> None:
-    """Check a proof tree against the fixing definition: leaf values match
-    the input assignment, one-child steps are AND-0 or OR-1, two-child
-    steps are AND-1 or OR-0, and every tree edge is a circuit edge."""
-    ips = bc.input_ids()
-    given = dict(zip(ips, inputs))
-    ins = bc.in_edges()
-    ops = {g.gid: g.op for g in bc.gates}
-
-    def walk(node):
-        kind = node[0]
-        g, b = node[1], node[2]
-        if kind == "leaf":
-            if ops[g] != "input" or given.get(g) != b:
-                raise InvariantBroken(f"bad leaf at gate {g}")
-            return g, b
-        if kind == "one":
-            cg, cb = walk(node[3])
-            if cg not in ins[g]:
-                raise InvariantBroken(f"proof edge {cg}->{g} is not a circuit edge")
-            ok = (ops[g] == "and" and b == cb == 0) or (
-                ops[g] == "or" and b == cb == 1
-            )
-            if not ok:
-                raise InvariantBroken(f"one-child rule violated at gate {g}")
-            return g, b
-        if kind == "two":
-            lg, lb = walk(node[3])
-            rg, rb = walk(node[4])
-            if {lg, rg} != set(ins[g]):
-                raise InvariantBroken(f"children of {g} are not its circuit inputs")
-            ok = (ops[g] == "and" and b == lb == rb == 1) or (
-                ops[g] == "or" and b == lb == rb == 0
-            )
-            if not ok:
-                raise InvariantBroken(f"two-child rule violated at gate {g}")
-            return g, b
-        raise InvariantBroken(f"unknown proof node {kind!r}")
-
-    rg, rb = walk(prf)
-    if rg != gid or rb != bit:
-        raise InvariantBroken("proof root does not match the fixed gate")
+    one, zero = _fix(
+        bc, dict(zip(ips, inputs)), {x: 1 - b for x, b in zip(ips, inputs)}
+    )
+    fixed = {g.gid: one[g.gid] for g in bc.gates if one[g.gid] | zero[g.gid]}
+    unfixed = frozenset(g.gid for g in bc.gates if g.gid not in fixed)
+    return FixReport(fixed, unfixed)
 
 
 def fixed_functions_assignment(bc: BooleanCircuitCertificate, inputs) -> dict[int, int]:
@@ -869,35 +751,28 @@ def is_satisfying(bc: BooleanCircuitCertificate, assignment: dict[int, int]) -> 
 def lattice_rewrite(cert: SquareCertificate, h: PartialSetFunction) -> SquareCertificate:
     """Rewrite a certificate so every involved set lives in the lattice
     closure (indeed in the interval family) of the defined sets: convert
-    to a boolean certificate, replace each creator by the bits the fixing
-    walk forces coordinatewise (unfixed gates take 1), convert back."""
+    to a boolean certificate, fix its gates on all m coordinates at once
+    with the input creators as inputs, give each gate the coordinates it
+    is not fixed to 0 (unfixed gates take 1), convert back."""
     if cert.m > MAX_DENSE_M:
-        raise TooLarge(f"the rewrite walks once per element; m <= {MAX_DENSE_M} only")
+        raise TooLarge(f"the rewrite fixes m-bit masks; m <= {MAX_DENSE_M} only")
+    if cert.size() > MAX_REWRITE_SIZE:
+        raise TooLarge(
+            "the rewrite builds four gates per unit of count; "
+            f"certificate size <= {MAX_REWRITE_SIZE} only"
+        )
     if cert.context is None:
         cert = SquareCertificate(cert.m, cert.tuples, h)
     if not verify_square_certificate(cert, h):
         raise WitnessInvalid("certificate does not verify")
     bc = square_to_boolean(cert)
-    ips = bc.input_ids()
-    new_creator = {g.gid: 0 for g in bc.gates}
-    creator = dict(zip((g.gid for g in bc.gates), bc.creators))
-    for i in range(bc.m):
-        bits = fixed_functions_assignment(
-            bc, tuple((creator[x] >> i) & 1 for x in ips)
-        )
-        for gid, b in bits.items():
-            if b:
-                new_creator[gid] |= 1 << i
-    for g in bc.gates:
-        if g.role in ("ip", "op"):
-            if new_creator[g.gid] != creator[g.gid]:
-                raise InternalError("internal error: the rewrite moved a defined-set gate")
-    bc2 = BooleanCircuitCertificate(
-        bc.m,
-        bc.gates,
-        bc.edges,
-        tuple(new_creator[g.gid] for g in bc.gates),
-        h,
-    )
+    full = (1 << bc.m) - 1
+    inputs = {g.gid: c for g, c in zip(bc.gates, bc.creators) if g.role == "ip"}
+    _one, zero = _fix(bc, inputs, {x: full & ~c for x, c in inputs.items()})
+    new_creators = tuple(full & ~zero[g.gid] for g in bc.gates)
+    for g, old, new in zip(bc.gates, bc.creators, new_creators):
+        if g.role in ("ip", "op") and new != old:
+            raise InternalError("internal error: the rewrite moved a defined-set gate")
+    bc2 = BooleanCircuitCertificate(bc.m, bc.gates, bc.edges, new_creators, h)
     bc2.validate()
     return boolean_to_square(bc2)

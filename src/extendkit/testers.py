@@ -33,6 +33,11 @@ from .xos import XosNotExtendible, fractional_cover
 ONESIDED = "onesided"
 TWOSIDED = "twosided"
 
+# The most draws a run takes. A smaller eps is refused before the first
+# draw: the run would not end in reasonable time, and below the smallest
+# float float(eps) is 0, which layer_bounds divides by.
+MAX_DRAWS = 1 << 16
+
 
 class FunctionOracle:
     """Oracle access to f: 2^[m] -> Q_(>=0) with a monotone query counter
@@ -276,6 +281,8 @@ def _run(oracle: FunctionOracle, epsilon, rng, variant: str, queried, checks):
     if oracle.m > 24:
         raise TooLarge("testers query subsets of the drawn set; m <= 24 only")
     iterations = math.ceil(1 / eps)
+    if iterations > MAX_DRAWS:
+        raise TooLarge(f"a tester run takes ceil(1/eps) draws; at most {MAX_DRAWS}")
     start = oracle.query_count
     for it in range(1, iterations + 1):
         target = sample_M_lambda(oracle.m, eps, variant, rng)

@@ -15,8 +15,8 @@ from extendkit.submodular import (
 
 def derivable_bits(bc, inputs):
     """Least fixpoint of the proof-tree derivability rules: per gate, the
-    set of bits witnessed by some finite proof tree. Independent of the
-    fixing walk."""
+    set of bits witnessed by some finite proof tree, one coordinate at a
+    time. Independent of the package's bit-parallel fixpoint."""
     fx = {g.gid: set() for g in bc.gates}
     for x, bit in zip(bc.input_ids(), inputs):
         fx[x].add(bit)

@@ -569,7 +569,7 @@ def test_criterion_10_fixing_properties():
             report = sm.fixing_algorithm(bc, inputs)
             assert set(report.fixed) == {g for g, v in fx.items() if v}
             for sol in enumerate_satisfying(bc, inputs):  # fixed bits agree with every solution
-                for gid, (bit, _p) in report.fixed.items():
+                for gid, bit in report.fixed.items():
                     assert sol[gid] == bit
             a = sm.fixed_functions_assignment(bc, inputs)
             assert sm.is_satisfying(bc, a)  # unfixed-to-1 satisfies the circuit

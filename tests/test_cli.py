@@ -583,3 +583,84 @@ def test_large_m_gen_and_rewrite_are_answered_or_capped(tmp_path, m):
     assert "Traceback" not in out.stderr
     if m == 63:
         assert json.loads(out.stdout)["sizes"] == {"input": 1, "output": 1}
+
+
+# ---------------------------------------------------------------------------
+# size caps and the last handler
+
+
+def test_rewrite_cert_size_cap(files, tmp_path):
+    """One square with a large count: the rewrite is linear in the count
+    up to 2^14 and refused past it, before a gate is built."""
+    cert = tmp_path / "cert.json"
+    for count, code in ((3000, 0), ((1 << 14) + 1, 3)):
+        cert.write_text(json.dumps({"m": 2, "tuples": [{"a": [0], "b": [1], "count": count}]}))
+        out = run(["rewrite-cert", "--input", files["cube.json"], "--cert", str(cert)],
+                  timeout=60)
+        assert out.returncode == code, out.stderr
+        assert "Traceback" not in out.stderr
+    assert out.stdout == "" and out.stderr.startswith("resource cap:")
+
+
+@pytest.mark.parametrize("zeros", [300, 400])
+def test_tiny_epsilon_is_capped(files, zeros):
+    """ceil(1/eps) draws past 2^16 are refused before the first draw (at
+    1/10^400, float(eps) is 0)."""
+    eps = "1/1" + "0" * zeros
+    out = run(["test", "--class", "xos", "--oracle", files["modular.json"], "--epsilon", eps],
+              timeout=60)
+    assert out.returncode == 3 and out.stdout == ""
+    assert out.stderr.startswith("resource cap:") and "Traceback" not in out.stderr
+
+
+def test_gen_n_is_capped():
+    out = run(["gen", "--kind", "antichain", "--m", "63", "--n", "5000"], timeout=60)
+    assert out.returncode == 3 and out.stdout == ""
+    assert out.stderr.startswith("resource cap:") and "Traceback" not in out.stderr
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--n", "-1"],
+        ["--lo", "5", "--hi", "1"],
+        ["--m", "-1"],
+        ["--positive", "--hi", "0"],  # drew values forever, none of them positive
+    ],
+)
+def test_bad_gen_parameters_are_input_errors(args):
+    argv = ["gen", "--kind", "partial", "--m", "3"] + args
+    out = run(argv, timeout=60)
+    assert out.returncode == 2 and out.stdout == ""
+    assert out.stderr.startswith("input error:") and "Traceback" not in out.stderr
+
+
+@pytest.mark.parametrize(
+    "data, argv",
+    [
+        (b'{"dim":2,"points":[]}', ["vertices"]),
+        (b"\xff\xfe", ["extend", "--class", "xos"]),
+    ],
+)
+def test_empty_and_undecodable_inputs_are_input_errors(tmp_path, data, argv):
+    path = tmp_path / "doc.json"
+    path.write_bytes(data)
+    out = run(argv + ["--input", str(path)])
+    assert out.returncode == 2 and out.stdout == ""
+    assert out.stderr.startswith("input error:") and "Traceback" not in out.stderr
+
+
+@pytest.mark.parametrize("exc", [KeyError, ValueError])
+def test_unexpected_exception_is_an_internal_error(files, monkeypatch, capsys, exc):
+    """A bug surfaces as exit 2 with one line, never as exit 1 (refuted)
+    and never as an input error."""
+    from extendkit import cli
+
+    def broken(args):
+        raise exc("boom")
+
+    monkeypatch.setattr(cli, "cmd_vertices", broken)
+    assert cli.main(["vertices", "--input", files["kink.json"]]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("internal error:")
+    assert "Traceback" not in out.err and "boom" in out.err

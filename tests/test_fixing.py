@@ -1,5 +1,5 @@
-"""The fixing walk on cyclic AND/OR circuits: golden circuits, proof
-validation, and agreement with the independent derivability fixpoint."""
+"""Fixing on cyclic AND/OR circuits: golden circuits, the fixing lemmas,
+and agreement with the independent derivability fixpoint."""
 
 import random
 from itertools import product
@@ -99,9 +99,9 @@ def test_random_certificates_fixing_lemmas():
             # fixed values are unique
             assert all(len(v) <= 1 for v in fx.values())
             report = sm.fixing_algorithm(bc, inputs)
-            # the saturated report matches derivability exactly
+            # the report matches derivability exactly
             assert set(report.fixed) == {g for g, v in fx.items() if v}
-            for gid, (bit, _proof) in report.fixed.items():
+            for gid, bit in report.fixed.items():
                 assert fx[gid] == {bit}
             assert set(bc.output_ids()) <= set(report.fixed)
             # fixed gates agree with every satisfying assignment
@@ -119,3 +119,25 @@ def test_random_certificates_fixing_lemmas():
                 if all(a <= b for a, b in zip(x, y)):
                     for gid in gate_ids:
                         assert fix_bits[x][gid] <= fix_bits[y][gid]
+
+
+def test_lattice_rewrite_matches_coordinatewise_derivability():
+    """The rewrite equals one built from the reference fixpoint run once
+    per coordinate: a gate's new creator holds coordinate i unless the
+    gate is derivably 0 there."""
+    rng = random.Random(4242)
+    for _ in range(150):
+        cert, h = random_valid_square_certificate(rng.randint(2, 6), rng)
+        bc = sm.square_to_boolean(cert)
+        creator = dict(zip((g.gid for g in bc.gates), bc.creators))
+        ips = bc.input_ids()
+        ref = {g.gid: 0 for g in bc.gates}
+        for i in range(bc.m):
+            fx = derivable_bits(bc, tuple((creator[x] >> i) & 1 for x in ips))
+            for gid, bits in fx.items():
+                if bits != {0}:
+                    ref[gid] |= 1 << i
+        bc2 = sm.BooleanCircuitCertificate(
+            bc.m, bc.gates, bc.edges, tuple(ref[g.gid] for g in bc.gates), h
+        )
+        assert sm.lattice_rewrite(cert, h) == sm.boolean_to_square(bc2)

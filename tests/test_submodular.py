@@ -247,6 +247,40 @@ def test_hub_six_six_two_gate_structure():
     assert sm.verify_square_certificate(back, h)
 
 
+def test_hub_circuit_golden():
+    """The hub certificate's circuit, gate for gate: pins the merge order
+    (smallest creator in lex order first, each creator's inputs paired
+    with its outputs in creation order)."""
+    bc = sm.square_to_boolean(hub_cert()[0])
+    assert [(g.gid, g.op, g.role) for g in bc.gates] == (
+        [(i, "input", "ip") for i in range(6)]
+        + [(6, "or", "op"), (7, "and", "op"), (8, "or", "op"), (9, "and", "op")]
+        + [(10, "or", "op"), (11, "and", "op"), (12, "and", "im"), (13, "or", "im")]
+    )
+    assert bc.edges == (
+        (0, 6), (0, 7), (1, 8), (1, 9), (2, 10), (2, 12), (3, 10), (3, 12),
+        (4, 11), (4, 13), (5, 11), (5, 13), (12, 6), (12, 7), (13, 8), (13, 9),
+    )
+    assert bc.creators == (34, 56, 15, 23, 5, 6, 39, 2, 63, 0, 31, 4, 7, 7)
+
+
+def test_merges_run_in_lex_order_of_creators():
+    """Intermediate gates are numbered in merge order, so their creators
+    come in lex order."""
+    import random
+
+    from extendkit.ground import lex_key
+    from extendkit.oracle import random_valid_square_certificate
+
+    rng = random.Random(7)
+    for _ in range(200):
+        cert, _h = random_valid_square_certificate(rng.randint(2, 6), rng)
+        bc = sm.square_to_boolean(cert)
+        creator = dict(zip((g.gid for g in bc.gates), bc.creators))
+        merged = [creator[g] for g in bc.intermediate_ids()]
+        assert merged == sorted(merged, key=lex_key)
+
+
 def test_square_tuple_invariants():
     t = square(0b011, 0b110)
     assert t.top == 0b111 and t.bottom == 0b010
