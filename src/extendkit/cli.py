@@ -324,8 +324,8 @@ def cmd_gen(args) -> int:
         raise TooLarge(f"generators draw sets over [m]; m <= {MAX_DENSE_M} only")
     if args.n > MAX_GEN_N:
         raise TooLarge(f"generators draw --n sets; n <= {MAX_GEN_N} only")
-    if args.m < 0 or args.n < 0 or args.lo > args.hi:
-        raise InputError("--m and --n must be nonnegative and --lo at most --hi")
+    if args.m < 1 or args.n < 0 or args.lo > args.hi:
+        raise InputError("--m must be positive, --n nonnegative and --lo at most --hi")
     if args.positive and args.hi <= 0:
         raise InputError("--positive needs --hi above 0")
     rng = _random.Random(args.seed)
@@ -336,11 +336,8 @@ def cmd_gen(args) -> int:
         _emit(to_jsonable(h))
     elif args.kind == "antichain":
         fam = oracle.random_antichain(args.m, args.n, rng)
-        h = PartialSetFunction(
-            args.m,
-            tuple((s, oracle.random_rational(rng, args.lo, args.hi)) for s in fam),
-        )
-        _emit(to_jsonable(h))
+        values = [oracle.random_value(rng, args.lo, args.hi, args.positive) for _ in fam]
+        _emit(to_jsonable(PartialSetFunction(args.m, tuple(zip(fam, values)))))
     else:
         cert, h = oracle.random_valid_square_certificate(args.m, rng)
         _emit({"certificate": to_jsonable(cert), "function": to_jsonable(h)})

@@ -5,7 +5,8 @@ Rationals are stdlib fractions.Fraction values: always in lowest terms,
 positive denominator, exact field arithmetic.
 The exact kernels (the simplex, the cover DPs, dual-vertex enumeration)
 do not add rationals in their inner loops: they scale their inputs once to
-integers over a common denominator with denominator_lcm() and scaled_int(),
+integers over a common denominator with denominator_lcm() and scaled_int()
+(a partial set function keeps its scaled values, PartialSetFunction.int_values),
 run on Python ints, and form rationals only when results are read out.
 Scaling by a positive integer keeps every comparison, so tie-breaks and
 outputs are the same as in rational arithmetic.
@@ -19,6 +20,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction as Rational
+from functools import cached_property
 from math import lcm
 from typing import Iterable
 
@@ -172,6 +174,13 @@ class PartialSetFunction:
 
     def as_dict(self) -> dict[int, Rational]:
         return {mask: v for mask, v in self.points}
+
+    @cached_property
+    def int_values(self) -> tuple[int, tuple[int, ...]]:
+        """(L, the values times L as ints, in point order), with L the
+        lcm of the values' denominators; computed once per instance."""
+        scale = denominator_lcm(v for _mask, v in self.points)
+        return scale, tuple(scaled_int(v, scale) for _mask, v in self.points)
 
     def require_nonnegative(self, klass: str = "subadditive") -> None:
         for mask, v in self.points:

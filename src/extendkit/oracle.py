@@ -281,6 +281,14 @@ def random_rational(rng, lo: int, hi: int, max_den: int = 4) -> Rational:
     return Rational(rng.randint(lo * den, hi * den), den)
 
 
+def random_value(rng, lo: int, hi: int, positive: bool) -> Rational:
+    """random_rational(), drawn again while positive and it is <= 0."""
+    v = random_rational(rng, lo, hi)
+    while positive and v <= 0:
+        v = random_rational(rng, lo, hi)
+    return v
+
+
 def random_partial_function(
     m: int,
     n: int,
@@ -303,13 +311,9 @@ def random_partial_function(
         masks = {}
         while len(masks) < n:
             masks[rng.randrange(first, 1 << m)] = None
-    points = []
-    for mask in masks:
-        v = random_rational(rng, lo, hi)
-        while positive and v <= 0:
-            v = random_rational(rng, lo, hi)
-        points.append((mask, v))
-    return PartialSetFunction(m, tuple(points))
+    return PartialSetFunction(
+        m, tuple((mask, random_value(rng, lo, hi, positive)) for mask in masks)
+    )
 
 
 def random_antichain(m: int, n: int, rng, restarts: int = 50) -> tuple[int, ...]:

@@ -6,6 +6,10 @@ A partial function extends to a monotone subadditive function exactly when
 every defined set T satisfies min-cover-cost(T) >= f(T), where covers are
 families of defined sets whose union contains T. For the nonmonotone class
 the family's union must equal T exactly.
+
+The minimum cover is an exact DP over the Venn atoms of T: the pieces into
+which the usable sets' footprints on T cut it. Its cost is 2^a(T)·n for
+a(T) atoms and n defined sets, with a(T) <= |T|.
 """
 
 from __future__ import annotations
@@ -15,14 +19,7 @@ from itertools import combinations
 from typing import Optional
 
 from .errors import InternalError
-from .ground import (
-    PartialSetFunction,
-    Rational,
-    denominator_lcm,
-    elements,
-    mask_of,
-    scaled_int,
-)
+from .ground import PartialSetFunction, Rational, elements, mask_of
 
 MONOTONE = "monotone"
 EXACT_UNION = "exact_union"
@@ -108,57 +105,69 @@ def min_cover_value(
         best_mask, best = min(h.points, key=lambda p: (p[1], p[0]))
         return best, (best_mask,)
     # the DP runs on the values scaled to integers by their common
-    # denominator scale; scaling by scale > 0 keeps every comparison
-    scale = denominator_lcm(value for _mask, value in h.points)
-    elems = elements(target)
-    t = len(elems)
-    pos = {e: i for i, e in enumerate(elems)}
+    # denominator scale; scaling by scale > 0 keeps every comparison.
+    # Only the cheapest set per footprint on target can win (the earliest
+    # on ties, as in point order); a set with no footprint, or one sticking
+    # out of target under exact union, cannot be used.
+    scale, ints = h.int_values
+    cheapest: dict[int, int] = {}
+    for k, (mask, _value) in enumerate(h.points):
+        p = mask & target
+        if p and (variant == MONOTONE or p == mask):
+            j = cheapest.get(p)
+            if j is None or ints[k] < ints[j]:
+                cheapest[p] = k
+    # the Venn atoms of target under the kept footprints, by lowest element
+    # (once every element is an atom, no footprint splits one further)
+    union = 0
+    atoms = [target]
+    t = target.bit_count()
+    for p in cheapest:
+        union |= p
+        if len(atoms) < t:
+            atoms = [part for a in atoms for part in (a & p, a & ~p) if part]
+    if union != target:
+        return None
+    atoms.sort(key=lambda a: a & -a)
+    index = {a & -a: i for i, a in enumerate(atoms)}
+    # containing[i] lists the kept sets holding atom i, in point order, as
+    # (complement of the atom mask of their footprint, scaled value, set)
+    containing = [[] for _ in atoms]
+    for k in sorted(cheapest.values()):
+        mask = h.points[k][0]
+        rest = mask & target
+        inside = []
+        packed = 0
+        while rest:  # one step per atom of the footprint
+            i = index[rest & -rest]
+            inside.append(i)
+            packed |= 1 << i
+            rest &= ~atoms[i]
+        entry = (~packed, ints[k], mask)
+        for i in inside:
+            containing[i].append(entry)
 
-    def pack(mask):
-        p = 0
-        for e in elements(mask & target):
-            p |= 1 << pos[e]
-        return p
-
-    # dp over submasks of target, re-indexed to the target's own elements;
-    # containing[i] lists the usable sets whose footprint holds element i,
-    # in point order
-    containing = [[] for _ in range(t)]
-    for mask, value in h.points:
-        if variant == EXACT_UNION and mask & ~target:
-            continue
-        p = pack(mask)
-        entry = (p, scaled_int(value, scale), mask)
-        for i in range(t):
-            if p >> i & 1:
-                containing[i].append(entry)
-
-    size = 1 << t
-    dp: list = [None] * size
-    dp[0] = 0
-    choice = [None] * size
-    # each step covers the lowest uncovered element
-    for mask in range(1, size):
+    # dp over unions of atoms; each step covers the lowest uncovered atom,
+    # which holds the lowest uncovered element, so costs and tie-breaks are
+    # those of the DP over element masks. Every atom lies in a kept set, so
+    # every state has a cover.
+    size = 1 << len(atoms)
+    dp = [0] * size
+    choice: list = [None] * size
+    for state in range(1, size):
         best = None
-        best_set = None
-        for p, value, orig in containing[(mask & -mask).bit_length() - 1]:
-            rest = dp[mask & ~p]
-            if rest is None:
-                continue
-            cost = rest + value
+        for entry in containing[(state & -state).bit_length() - 1]:
+            cost = dp[state & entry[0]] + entry[1]
             if best is None or cost < best:
                 best = cost
-                best_set = orig
-        dp[mask] = best
-        choice[mask] = best_set
-    if dp[size - 1] is None:
-        return None
+                choice[state] = entry
+        dp[state] = best
     cover = []
-    mask = size - 1
-    while mask:
-        orig = choice[mask]
-        cover.append(orig)
-        mask &= ~pack(orig)
+    state = size - 1
+    while state:
+        rest, _value, mask = choice[state]
+        cover.append(mask)
+        state &= rest
     return Rational(dp[size - 1], scale), tuple(cover)
 
 

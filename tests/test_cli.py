@@ -619,6 +619,24 @@ def test_gen_n_is_capped():
     assert out.stderr.startswith("resource cap:") and "Traceback" not in out.stderr
 
 
+def test_gen_antichain_honours_positive(capsys):
+    """Without --positive this draw holds two values of "0"; with it every
+    value is redrawn until it is above 0."""
+    from extendkit import cli
+    from extendkit.ground import parse_rational
+
+    def values(extra):
+        argv = ["gen", "--kind", "antichain", "--m", "4", "--n", "4", "--lo", "0",
+                "--hi", "1", "--seed", "3"]
+        assert cli.main(argv + extra) == 0
+        doc = json.loads(capsys.readouterr().out)
+        return [parse_rational(p["value"]) for p in doc["points"]]
+
+    assert values([]).count(0) == 2
+    positive = values(["--positive"])
+    assert len(positive) == 4 and min(positive) > 0
+
+
 @pytest.mark.parametrize(
     "args",
     [

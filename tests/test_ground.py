@@ -151,6 +151,31 @@ def test_json_documents_share_one_loader():
                 parse(text)
 
 
+def test_int_values_cached_once_per_instance():
+    """The values scaled by the lcm of their denominators, in point order;
+    the cache leaves equality and hash alone, and h.scaled() keeps its own."""
+    pts = ((mask_of([1]), Rational(1, 4)), (mask_of([0]), Rational(5, 6)), (0, Rational(2)))
+    h = PartialSetFunction(2, pts)
+    twin = PartialSetFunction(2, pts)
+    before = hash(h)
+    # point order is {}, {0}, {1}: values 2, 5/6, 1/4; the denominators
+    # 1, 6, 4 are not pairwise coprime, so the lcm is 12, not 24
+    assert h.int_values == (12, (24, 10, 3))
+    assert h.int_values is h.int_values
+    assert h == twin and hash(h) == before == hash(twin)
+    assert "int_values" not in vars(twin)
+
+    coprime = PartialSetFunction(3, tuple(
+        (mask_of([i]), Rational(1, d)) for i, d in enumerate((3, 5, 7))
+    ))
+    assert coprime.int_values == (105, (35, 21, 15))
+
+    fivefold = h.scaled(5)
+    assert "int_values" not in vars(fivefold)
+    assert fivefold.int_values == (12, (120, 50, 15))
+    assert h.int_values == (12, (24, 10, 3))
+
+
 def test_serialize_sorts_sets_canonically():
     h = PartialSetFunction(
         3, ((mask_of([1, 2]), Rational(4, 6)), (mask_of([0]), Rational(1)))

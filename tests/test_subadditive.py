@@ -11,7 +11,15 @@ import pytest
 
 from extendkit import subadditive as sub
 from extendkit.errors import InternalError, ValueNotPositive
-from extendkit.ground import PartialSetFunction, Rational as Q, mask_of, serialize
+from extendkit.ground import (
+    PartialSetFunction,
+    Rational as Q,
+    denominator_lcm,
+    elements,
+    mask_of,
+    scaled_int,
+    serialize,
+)
 
 
 def psf(m, *pairs):
@@ -241,6 +249,117 @@ def test_min_cover_value_matches_bruteforce_coprime_denominators(variant):
             if variant == sub.EXACT_UNION:
                 assert union == target
     assert wide >= 30
+
+
+def _element_min_cover(h, target, variant):
+    """The cover DP over the target's element masks, with the kernel's
+    tie-breaks: each step covers the lowest uncovered element with the
+    first cheapest candidate in point order. The reference for the atom DP."""
+    if target == 0:
+        if variant == sub.EXACT_UNION:
+            for mask, value in h.points:
+                if mask == 0:
+                    return value, (0,)
+            return None
+        best_mask, best = min(h.points, key=lambda p: (p[1], p[0]))
+        return best, (best_mask,)
+    scale = denominator_lcm(value for _mask, value in h.points)
+    elems = elements(target)
+    t = len(elems)
+    pos = {e: i for i, e in enumerate(elems)}
+
+    def pack(mask):
+        p = 0
+        for e in elements(mask & target):
+            p |= 1 << pos[e]
+        return p
+
+    containing = [[] for _ in range(t)]
+    for mask, value in h.points:
+        if variant == sub.EXACT_UNION and mask & ~target:
+            continue
+        p = pack(mask)
+        entry = (p, scaled_int(value, scale), mask)
+        for i in range(t):
+            if p >> i & 1:
+                containing[i].append(entry)
+    size = 1 << t
+    dp = [None] * size
+    dp[0] = 0
+    choice = [None] * size
+    for mask in range(1, size):
+        best = None
+        best_set = None
+        for p, value, orig in containing[(mask & -mask).bit_length() - 1]:
+            rest = dp[mask & ~p]
+            if rest is None:
+                continue
+            cost = rest + value
+            if best is None or cost < best:
+                best = cost
+                best_set = orig
+        dp[mask] = best
+        choice[mask] = best_set
+    if dp[size - 1] is None:
+        return None
+    cover = []
+    mask = size - 1
+    while mask:
+        orig = choice[mask]
+        cover.append(orig)
+        mask &= ~pack(orig)
+    return Q(dp[size - 1], scale), tuple(cover)
+
+
+def _atom_instance(rng):
+    """Sets over at most 12 elements: unions of 3-5 atoms of a core, some
+    with a piece of the rest of the ground set (so several sets share a
+    footprint on a union of atoms), some inside the rest alone."""
+    m = rng.randint(7, 12)
+    ground = list(range(m))
+    rng.shuffle(ground)
+    k = rng.randint(3, 5)
+    cut = rng.randint(k, m - 2)
+    core, rest = ground[:cut], ground[cut:]
+    atoms = [mask_of(core[j::k]) for j in range(k)]
+    masks = set()
+    for _ in range(rng.randint(3, 12)):
+        s = sum(rng.sample(atoms, rng.randint(1, k)))
+        roll = rng.random()
+        if roll < 0.4:
+            s |= mask_of(rng.sample(rest, rng.randint(1, len(rest))))
+        elif roll < 0.55:
+            s = mask_of(rng.sample(rest, rng.randint(1, len(rest))))
+        masks.add(s)
+    values = tuple((s, Q(rng.randint(0, 6), rng.choice((1, 2, 3)))) for s in masks)
+    targets = {0, *masks, *(sum(rng.sample(atoms, rng.randint(1, k))) for _ in range(4))}
+    return PartialSetFunction(m, values), targets
+
+
+@pytest.mark.parametrize("variant", [sub.MONOTONE, sub.EXACT_UNION])
+def test_atom_dp_matches_element_dp(variant):
+    """The kernel returns the element-level DP's exact (cost, cover) tuple,
+    on unions of 3-5 atoms with duplicate footprints (equal and unequal
+    values), sets disjoint from the target, sets sticking out of it, and
+    the empty target."""
+    rng = random.Random(23)
+    seen = {"equal": 0, "unequal": 0, "disjoint": 0, "sticking": 0, "empty": 0}
+    for _ in range(150):
+        h, targets = _atom_instance(rng)
+        for target in targets:
+            want = _element_min_cover(h, target, variant)
+            assert sub.min_cover_value(h, target, variant) == want
+            seen["empty"] += target == 0
+            by_footprint = {}
+            for mask, value in h.points:
+                seen["disjoint"] += bool(target and not mask & target)
+                seen["sticking"] += bool(mask & target and mask & ~target)
+                if mask & target:
+                    by_footprint.setdefault(mask & target, []).append(value)
+            for vals in by_footprint.values():
+                seen["equal"] += len(vals) > len(set(vals))
+                seen["unequal"] += len(set(vals)) > 1
+    assert min(seen.values()) >= 20, seen
 
 
 def test_decide_raises_internal_error_on_corrupted_cover(monkeypatch, tmp_path):
