@@ -201,7 +201,7 @@ def cmd_eval(args) -> int:
         else:
             _emit({"status": "ok", "value": str(value)})
         return EXIT_OK
-    value, _vertices = convex.eval_tilde(ch, x, max_dim=args.max_dim)
+    value, _vertices = convex.eval_tilde(ch, x)
     _emit({"status": "ok", "value": str(value)})
     return EXIT_OK
 
@@ -394,12 +394,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("eval", help="evaluate a roof or the canonical extension")
     sp.add_argument("--class", dest="klass", required=True, choices=EVAL_CLASSES)
     sp.add_argument("--at", required=True, help="JSON point, e.g. [0,2] or [\"1/2\"]")
-    sp.add_argument(
-        "--max-dim",
-        type=int,
-        default=convex.EVAL_TILDE_MAX_DIM,
-        help="dimension guard for vertex enumeration",
-    )
     common(sp)
 
     sp = sub.add_parser("certify", help="extract a submodular non-extension certificate")

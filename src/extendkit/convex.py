@@ -8,7 +8,8 @@ defined points hitting x; a partial function extends to a convex function
 iff the roof equals the pinned value at every defined point. Outside the
 hull the canonical extension is the max over vertices (y, mu) of the dual
 {T_i . y + mu <= f_i} of x . y + mu, which needs vertex enumeration and is
-exponential in m (it is NP-hard in general), hence the dimension guard.
+exponential in m (it is NP-hard in general), hence the budget of
+MAX_VERTEX_SYSTEMS square systems, checked before any is solved.
 
 One exact elimination routine, _eliminate (Gauss-Jordan on integer rows by
 lp.pivot, the simplex's fraction-free pivot), serves both the affine
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import gcd
+from math import comb, gcd
 from typing import Optional
 
 from . import lp
@@ -42,7 +43,9 @@ from .ground import (
     scaled_int,
 )
 
-EVAL_TILDE_MAX_DIM = 8
+# The most (m+1)-subsets vertex enumeration solves: C(n, m+1) square
+# systems, each an exact elimination.
+MAX_VERTEX_SYSTEMS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -231,8 +234,13 @@ def enumerate_dual_vertices(ch: ConvexPartialFunction) -> tuple[DualVertex, ...]
     solves by _eliminate to (y, mu) = x / d with integers x and d > 0,
     reduced by their gcd, which makes (x, d) canonical; row i holds at x / d
     when a_i . x <= b_i * d. Rationals are formed only for the vertices
-    that are kept."""
+    that are kept. Refuses more than MAX_VERTEX_SYSTEMS subsets."""
     m, n = ch.m, len(ch.points)
+    if comb(n, m + 1) > MAX_VERTEX_SYSTEMS:
+        raise TooLarge(
+            f"vertex enumeration would solve C({n}, {m + 1}) square systems; "
+            f"<= {MAX_VERTEX_SYSTEMS} only"
+        )
     if affine_dimension(ch.vectors) < m:
         raise DegenerateHull(
             "the defined points span less than the ambient dimension; "
@@ -278,14 +286,8 @@ def _dot(row, x) -> int:
     return sum(a * v for a, v in zip(row, x))
 
 
-def eval_tilde(ch: ConvexPartialFunction, x, max_dim: int = EVAL_TILDE_MAX_DIM):
-    """The canonical extension: max over dual vertices of x . y + mu.
-    Refuses m > max_dim by default (vertex enumeration is O(n^(m+1)))."""
+def eval_tilde(ch: ConvexPartialFunction, x):
+    """The canonical extension: max over dual vertices of x . y + mu."""
     x = _check_dim(ch, x)
-    if ch.m > max_dim:
-        raise TooLarge(
-            f"eval_tilde enumerates O(n^(m+1)) vertex candidates; "
-            f"m={ch.m} exceeds the default guard {max_dim}"
-        )
     vertices = enumerate_dual_vertices(ch)
     return max(v.value_at(x) for v in vertices), vertices

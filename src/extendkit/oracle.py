@@ -98,11 +98,6 @@ class FullTable:
         if not isinstance(self.values, TableValues):
             object.__setattr__(self, "values", TableValues.of(self.values))
 
-    def as_partial_function(self) -> PartialSetFunction:
-        return PartialSetFunction(
-            self.m, tuple((s, v) for s, v in enumerate(self.values))
-        )
-
     def _to_jsonable(self):
         return {"m": self.m, "values": [format_rational(v) for v in self.values]}
 

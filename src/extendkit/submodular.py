@@ -250,12 +250,15 @@ class SubmodularResult:
 def _family_lp(h: PartialSetFunction, fam: tuple[int, ...], *, boxes: bool):
     """LP over one variable per family set: submodularity rows for pairs
     whose union and intersection stay in the family, plus value pins
-    (equality) or [f_i, alpha f_i] boxes with a minimized alpha."""
+    (equality) or [f_i, alpha f_i] boxes with a minimized alpha. Returns
+    the LP and ``pairs``, the (a, b) of each submodularity row in row
+    order (those rows come first)."""
     fam_index = {s: i for i, s in enumerate(fam)}
     nf = len(fam)
     nv = nf + (1 if boxes else 0)
     names = tuple(f"w{s}" for s in fam) + (("alpha",) if boxes else ())
     cons = []
+    pairs = []
     for i, a in enumerate(fam):
         for b in fam[i + 1 :]:
             if is_subset(a, b) or is_subset(b, a):
@@ -269,6 +272,7 @@ def _family_lp(h: PartialSetFunction, fam: tuple[int, ...], *, boxes: bool):
             row[fam_index[u]] -= ONE
             row[fam_index[n]] -= ONE
             cons.append(lp.Constraint(tuple(row), ">=", ZERO))
+            pairs.append((a, b))
     for mask, value in h.points:
         row = [ZERO] * nv
         row[fam_index[mask]] = ONE
@@ -284,7 +288,7 @@ def _family_lp(h: PartialSetFunction, fam: tuple[int, ...], *, boxes: bool):
     if boxes:
         objective = ((ZERO,) * nf + (ONE,), "min")
         lower = (None,) * nf + (ONE,)
-    return lp.ExactLP(names, tuple(cons), objective, lower=lower)
+    return lp.ExactLP(names, tuple(cons), objective, lower=lower), pairs
 
 
 def extend_submodular(
@@ -299,14 +303,14 @@ def extend_submodular(
             sorted(masks, key=lex_key)
         ))
     fam = interval_family(masks, cap)
-    problem = _family_lp(h, fam, boxes=False)
+    problem, pairs = _family_lp(h, fam, boxes=False)
     out = lp.solve(problem)
     if isinstance(out, lp.Feasible):
         values = {s: out.assignment[f"w{s}"] for s in fam}
         return SubmodularResult("extendible", values=values, family=fam)
     if not isinstance(out, lp.Infeasible):
         raise InternalError("internal error: the family LP is neither feasible nor infeasible")
-    cert = extract_square_certificate(h, out.witness, problem)
+    cert = extract_square_certificate(h, out.witness, problem, pairs)
     return SubmodularResult("not_extendible", certificate=cert, family=fam)
 
 
@@ -320,47 +324,29 @@ def approx_submodular(h: PartialSetFunction, cap: int = DEFAULT_CLOSURE_CAP):
         if is_antichain(masks)
         else interval_family(masks, cap)
     )
-    out = lp.solve(_family_lp(h, fam, boxes=True))
+    out = lp.solve(_family_lp(h, fam, boxes=True)[0])
     if not isinstance(out, lp.Optimal):
         raise InternalError("internal error: the box LP has no optimum")
     return out.value
 
 
 def extract_square_certificate(
-    h: PartialSetFunction, witness: lp.FarkasWitness, problem: lp.ExactLP
+    h: PartialSetFunction, witness: lp.FarkasWitness, problem: lp.ExactLP, pairs
 ) -> SquareCertificate:
     """Turn a Farkas witness of the family LP into a square certificate:
-    positive multipliers on submodularity rows, scaled to integers, become
-    tuple multiplicities; the pin-row multipliers supply the positive weighting implicitly."""
+    the multipliers on the submodularity rows (the first ``len(pairs)``
+    rows, one per (a, b) of ``pairs``), scaled to integers by one lcm,
+    become tuple multiplicities; the pin-row multipliers supply the
+    positive weighting implicitly. verify_farkas rejects a negative
+    multiplier on an inequality row."""
     if not lp.verify_farkas(problem, witness):
         raise WitnessInvalid("witness does not verify against the LP")
-    var_mask = {}
-    for i, name in enumerate(problem.variables):
-        if name.startswith("w"):
-            var_mask[i] = int(name[1:])
-    pairs = []
-    for row, lam in zip(problem.constraints, witness.multipliers):
-        if row.relation != ">=" or row.rhs != 0 or lam == 0:
-            continue
-        pos = [var_mask[j] for j, c in enumerate(row.coeffs) if c == 1]
-        neg = [var_mask[j] for j, c in enumerate(row.coeffs) if c == -1]
-        if len(pos) != 2 or len(neg) != 2:
-            continue  # not a submodularity row
-        a, b = pos
-        if {a | b, a & b} != set(neg):
-            raise WitnessInvalid("unrecognized row pattern in the family LP")
-        if lam < 0:
-            raise WitnessInvalid("negative multiplier on a submodularity row")
-        pairs.append(((a, b), lam))
-    if not pairs:
+    used = [(ab, lam) for ab, lam in zip(pairs, witness.multipliers) if lam]
+    if not used:
         raise WitnessInvalid("witness places no weight on submodularity rows")
-    scale = denominator_lcm(lam for _, lam in pairs)
-    tuples = []
-    for (a, b), lam in pairs:
-        count = scaled_int(lam, scale)
-        if a != b:  # trivial squares are pruned from extractor output
-            tuples.append((square(a, b), count))
-    cert = SquareCertificate(h.m, tuple(tuples), context=h)
+    scale = denominator_lcm(lam for _, lam in used)
+    tuples = tuple((square(a, b), scaled_int(lam, scale)) for (a, b), lam in used)
+    cert = SquareCertificate(h.m, tuples, context=h)
     if not verify_square_certificate(cert, h):
         raise WitnessInvalid("extracted certificate fails verification")
     return cert
@@ -479,33 +465,28 @@ class BooleanCircuitCertificate:
                     )
         if self.context is not None:
             defined = self.context.as_dict()
+            net: dict[int, int] = {}  # output gates minus input gates, per creator
             for g in self.gates:
-                if g.role in ("ip", "op") and creator[g.gid] not in defined:
+                if g.role == "im":
+                    continue
+                c = creator[g.gid]
+                if c not in defined:
                     raise MalformedCircuit(
                         f"gate {g.gid} (role {g.role}) maps to an undefined set"
                     )
-            total = ZERO
-            for mask, value in self.context.points:
-                n_op = sum(
-                    1
-                    for g in self.gates
-                    if g.role == "op" and creator[g.gid] == mask
-                )
-                n_ip = sum(
-                    1
-                    for g in self.gates
-                    if g.role == "ip" and creator[g.gid] == mask
-                )
-                total += value * (n_op - n_ip)
+                net[c] = net.get(c, 0) + (1 if g.role == "op" else -1)
+            total = sum((defined[c] * k for c, k in net.items()), ZERO)
             if not total > 0:
                 raise MalformedCircuit("defined-value weighting is not positive")
 
 
 def square_to_boolean(cert: SquareCertificate) -> BooleanCircuitCertificate:
-    """Per tuple: two input gates, an output OR (creator = union), an
-    output AND (creator = intersection), inputs wired to both outputs;
-    then same-creator (input, output) pairs merge into intermediate gates,
-    lexicographically smallest creator and earliest-created gates first.
+    """Per unit of count, four gates: the inputs a and b, an output OR
+    (creator = union) and an output AND (creator = intersection), each
+    input wired to both outputs. Then, creators in lex order, each
+    creator's inputs are zipped with its outputs in creation order, and
+    each pair merges into the next intermediate gate: the circuit is the
+    original edges with their endpoints renamed.
 
     Trivial and comparable squares contribute equally to middle and
     top/bottom counts, so they are dropped before conversion (they would
@@ -516,123 +497,66 @@ def square_to_boolean(cert: SquareCertificate) -> BooleanCircuitCertificate:
     if not verify_square_certificate(cert, h):
         raise WitnessInvalid("certificate does not verify")
 
-    nxt = 0
-    op_of: dict[int, str] = {}
-    creator: dict[int, int] = {}
-    is_input: dict[int, bool] = {}
-    ins: dict[int, list[int]] = {}
-    outs: dict[int, list[int]] = {}
-
-    def new_gate(op, c, srcs):
-        nonlocal nxt
-        gid = nxt
-        nxt += 1
-        op_of[gid] = op
-        creator[gid] = c
-        is_input[gid] = op == "input"
-        ins[gid] = list(srcs)
-        outs[gid] = []
-        for s in srcs:
-            outs[s].append(gid)
-        return gid
-
-    for t, k in cert.tuples:
-        if t.a == t.b or is_subset(t.a, t.b) or is_subset(t.b, t.a):
-            continue
-        for _ in range(k):
-            g1 = new_gate("input", t.a, ())
-            g2 = new_gate("input", t.b, ())
-            new_gate("or", t.top, (g1, g2))
-            new_gate("and", t.bottom, (g1, g2))
-    if not op_of:
+    units = [
+        t
+        for t, k in cert.tuples
+        if not (is_subset(t.a, t.b) or is_subset(t.b, t.a))
+        for _ in range(k)
+    ]
+    if not units:
         raise MergeStuck("certificate holds only trivial or comparable squares")
-
-    # Every gate is an input or an output here, and a merge leaves every
-    # other gate's role as it was, so the merges per creator are its
-    # inputs zipped with its outputs, in creation order.
+    # gate 4u + r of unit u: r = 0, 1 the inputs, r = 2 the OR, r = 3 the AND
+    ops = ("input", "input", "or", "and")
+    creator = [c for t in units for c in (t.a, t.b, t.top, t.bottom)]
     by_creator: dict[int, tuple[list[int], list[int]]] = {}
-    for gid in op_of:
-        entry = by_creator.setdefault(creator[gid], ([], []))
-        entry[0 if is_input[gid] else 1].append(gid)
-    alive = set(op_of)
-    for c in sorted(by_creator, key=lex_key):
-        for g_in, g_out in zip(*by_creator[c]):
-            g3 = new_gate(op_of[g_out], creator[g_in], ())
-            ins[g3] = list(ins[g_out])
-            outs[g3] = list(outs[g_in])
-            for u in ins[g3]:
-                outs[u] = [g3 if x == g_out else x for x in outs[u]]
-            for v in outs[g3]:
-                ins[v] = [g3 if x == g_in else x for x in ins[v]]
-            alive.discard(g_in)
-            alive.discard(g_out)
-            alive.add(g3)
-
-    defined = set(h.masks)
-    for gid in alive:
-        terminal = is_input[gid] or not outs[gid]
-        if terminal and creator[gid] not in defined:
-            raise MergeStuck(
-                f"unmergeable terminal gate maps to undefined set "
-                f"{sorted(elements(creator[gid]))}"
-            )
+    for g, c in enumerate(creator):
+        by_creator.setdefault(c, ([], []))[g & 2 != 0].append(g)
+    merges = [p for c in sorted(by_creator, key=lex_key) for p in zip(*by_creator[c])]
+    merged = {g for p in merges for g in p}
 
     # reindex in the canonical order: inputs, then outputs, then intermediates
-    inputs_l = sorted(g for g in alive if is_input[g])
-    outputs_l = sorted(g for g in alive if not is_input[g] and not outs[g])
-    inters_l = sorted(g for g in alive if not is_input[g] and outs[g])
-    order = inputs_l + outputs_l + inters_l
-    remap = {old: new for new, old in enumerate(order)}
-    gates = []
-    for old in order:
-        role = "ip" if is_input[old] else ("op" if not outs[old] else "im")
-        gates.append(Gate(remap[old], op_of[old], role))
-    edges = tuple(
-        sorted((remap[u], remap[v]) for u in alive for v in outs[u])
+    terminals = [g for g in range(len(creator)) if g not in merged]
+    terminals.sort(key=lambda g: g & 2)  # stable: creation order within a role
+    defined = set(h.masks)
+    for g in terminals:
+        if creator[g] not in defined:
+            raise MergeStuck(
+                f"unmergeable terminal gate maps to undefined set "
+                f"{sorted(elements(creator[g]))}"
+            )
+    new_id = {g: i for i, g in enumerate(terminals)}
+    gates = [Gate(i, ops[g & 3], "op" if g & 2 else "ip") for i, g in enumerate(terminals)]
+    creators = [creator[g] for g in terminals]
+    for i, (g_in, g_out) in enumerate(merges, len(terminals)):
+        new_id[g_in] = new_id[g_out] = i
+        gates.append(Gate(i, ops[g_out & 3], "im"))
+        creators.append(creator[g_in])
+    edges = sorted(
+        (new_id[4 * u + i], new_id[4 * u + o])
+        for u in range(len(units))
+        for i in (0, 1)
+        for o in (2, 3)
     )
-    creators = tuple(creator[old] for old in order)
-    bc = BooleanCircuitCertificate(cert.m, tuple(gates), edges, creators, h)
+    bc = BooleanCircuitCertificate(cert.m, tuple(gates), tuple(edges), tuple(creators), h)
     bc.validate()
     return bc
 
 
 def boolean_to_square(bc: BooleanCircuitCertificate) -> SquareCertificate:
-    """Split every intermediate gate into an input/output pair, then read
-    one square off each OR/AND component."""
+    """Read one square off each AND/OR pair of gates that share their two
+    feeders."""
     bc.validate()
-    ins = {g: list(v) for g, v in bc.in_edges().items()}
-    outs = {g: list(v) for g, v in bc.out_edges().items()}
-    op_of = {g.gid: g.op for g in bc.gates}
+    ins = bc.in_edges()
     creator = dict(zip((g.gid for g in bc.gates), bc.creators))
-    is_input = {g.gid: g.role == "ip" for g in bc.gates}
-    nxt = max(op_of) + 1 if op_of else 0
-
-    for g in [g.gid for g in bc.gates if g.role == "im"]:
-        gin = nxt
-        nxt += 1
-        op_of[gin] = "input"
-        creator[gin] = creator[g]
-        is_input[gin] = True
-        ins[gin] = []
-        outs[gin] = outs[g]
-        for v in outs[g]:
-            ins[v] = [gin if x == g else x for x in ins[v]]
-        outs[g] = []
-        is_input[g] = False  # g keeps its op and becomes an output gate
-
     pair_gates: dict[frozenset[int], dict[str, int]] = {}
-    for g, op in op_of.items():
-        if op == "input":
-            continue
-        srcs = frozenset(ins[g])
-        if len(srcs) != 2:
-            raise MalformedCircuit("output gate without two distinct feeders")
-        pair_gates.setdefault(srcs, {})[op] = g
+    for g in bc.gates:
+        if g.op != "input":
+            pair_gates.setdefault(frozenset(ins[g.gid]), {})[g.op] = g.gid
     tuples: list[tuple[SquareTuple, int]] = []
     for srcs, by_op in pair_gates.items():
         if set(by_op) != {"and", "or"}:
             raise MalformedCircuit("input pair lacks its AND/OR partner")
-        u, v = sorted(srcs)
+        u, v = srcs
         sq = square(creator[u], creator[v])
         if creator[by_op["or"]] != sq.top or creator[by_op["and"]] != sq.bottom:
             raise MalformedCircuit("component creators violate the set algebra")
@@ -774,5 +698,4 @@ def lattice_rewrite(cert: SquareCertificate, h: PartialSetFunction) -> SquareCer
         if g.role in ("ip", "op") and new != old:
             raise InternalError("internal error: the rewrite moved a defined-set gate")
     bc2 = BooleanCircuitCertificate(bc.m, bc.gates, bc.edges, new_creators, h)
-    bc2.validate()
     return boolean_to_square(bc2)

@@ -1,5 +1,6 @@
 """Convex roofs, extension, factor, dual vertices, canonical extension."""
 
+import json
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -260,3 +261,53 @@ def test_convex_self_checks_raise_internal_error(monkeypatch):
     monkeypatch.setattr(cx, "roof_value", lambda ch, x: None)
     with pytest.raises(InternalError):
         cx.feasible_at_alpha(KINK, 2)
+
+
+def _cli(tmp_path, doc, argv):
+    """(exit code, stdout, stderr) of cli.main on one convex document."""
+    import contextlib
+    import io
+
+    from extendkit import cli
+
+    path = tmp_path / "convex.json"
+    path.write_text(json.dumps(doc))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main([*argv, "--input", str(path)])
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_vertex_budget_refuses_before_solving(tmp_path, monkeypatch):
+    """C(118, 3) = 266,916 systems in dimension 2 exceed the budget: both
+    commands exit 3 without one elimination."""
+    from math import comb
+
+    assert comb(118, 3) > cx.MAX_VERTEX_SYSTEMS >= comb(117, 3)
+
+    def no_elimination(*_args):
+        raise AssertionError("vertex enumeration solved a system")
+
+    monkeypatch.setattr(cx, "_eliminate", no_elimination)
+    points = [{"x": [str(i), str(i * i)], "value": "0"} for i in range(118)]
+    doc = {"dim": 2, "points": points}
+    for argv in (["vertices"], ["eval", "--class", "convex-tilde", "--at", '["0","0"]']):
+        code, out, err = _cli(tmp_path, doc, argv)
+        assert (code, out) == (3, ""), err
+        assert "C(118, 3) square systems" in err
+
+
+def test_high_dimension_within_the_budget_is_answered(tmp_path):
+    """m = 9 with 10 points is one system: eval --class convex-tilde answers
+    it (no dimension cap), and so does vertices."""
+    m = 9
+    points = [{"x": ["0"] * m, "value": "0"}] + [
+        {"x": ["1" if j == i else "0" for j in range(m)], "value": "1"} for i in range(m)
+    ]
+    doc = {"dim": m, "points": points}
+    at = json.dumps(["2"] + ["0"] * (m - 1))
+    code, out, err = _cli(tmp_path, doc, ["eval", "--class", "convex-tilde", "--at", at])
+    assert (code, json.loads(out)) == (0, {"status": "ok", "value": "2"}), err
+    code, out, err = _cli(tmp_path, doc, ["vertices"])
+    vertex = {"y": ["1"] * m, "mu": "0", "tight": list(range(m + 1))}
+    assert (code, json.loads(out)) == (0, {"vertices": [vertex]}), err

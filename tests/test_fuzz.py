@@ -1,22 +1,26 @@
 """Bounded fuzzing of the input contract: whatever the document or argv,
 ``cli.main`` exits 0, 1, 2 or 3 and prints no traceback.
 
-Every call runs in this process. None of the fuzzed commands starts a
-process pool (only ``test --jobs`` above 1 would). Sizes are bounded
-(m <= 6 where m is an integer, at most 8 points, small ``gen`` parameters
-plus the values just past each cap), so every example finishes well
-inside the hypothesis deadline.
+Every command but ``oracle`` is fuzzed. Every call runs in this process,
+and none starts a process pool (``test`` runs with ``--jobs 1``). Sizes
+are bounded (m <= 6 for set functions, dimension <= 3 with at most 6
+convex points, m <= 4 for tester tables, small ``gen`` parameters, plus
+the values just past each cap), so every example finishes well inside
+the hypothesis deadline.
 """
 
 import contextlib
 import io
 import json
+import random
 
 from hypothesis import HealthCheck, event, given, settings, strategies as st
 
 from extendkit import cli
 from extendkit.cli import MAX_GEN_N
-from extendkit.ground import MAX_DENSE_M
+from extendkit.ground import MAX_DENSE_M, to_jsonable
+from extendkit.oracle import random_valid_square_certificate
+from extendkit.submodular import MAX_REWRITE_SIZE
 
 FUZZ = settings(
     max_examples=150,
@@ -92,19 +96,29 @@ def assert_contract(code, stderr):
     assert "internal error" not in stderr, stderr
 
 
-@FUZZ
+def write(tmp_path_factory, name, doc, raw=None):
+    path = tmp_path_factory.mktemp("fuzz") / name
+    path.write_text(json.dumps(doc) if raw is None else raw, encoding="utf-8")
+    return str(path)
+
+
+raw_text = st.one_of(st.none(), st.none(), st.none(), st.text(max_size=20))
+
+
+@settings(FUZZ, max_examples=300)  # four classes: 150 examples per two of them
 @given(
     doc=documents,
-    raw=st.one_of(st.none(), st.none(), st.none(), st.text(max_size=20)),
+    raw=raw_text,
     command=st.sampled_from(["extend", "approx"]),
-    klass=st.sampled_from(["subadditive", "subadditive-nonmonotone"]),
+    klass=st.sampled_from(["subadditive", "subadditive-nonmonotone", "xos", "submodular"]),
     extra=st.just([])
     | st.lists(st.sampled_from(["--audit", "--debug-lp", "--cap", "3", "-1", "x"]), max_size=2),
 )
-def test_subadditive_commands_keep_the_exit_contract(tmp_path_factory, doc, raw, command, klass, extra):
-    path = tmp_path_factory.mktemp("fuzz") / "doc.json"
-    path.write_text(json.dumps(doc) if raw is None else raw, encoding="utf-8")
-    assert_contract(*run_main([command, "--class", klass, "--input", str(path), *extra]))
+def test_set_function_commands_keep_the_exit_contract(
+    tmp_path_factory, doc, raw, command, klass, extra
+):
+    path = write(tmp_path_factory, "doc.json", doc, raw)
+    assert_contract(*run_main([command, "--class", klass, "--input", path, *extra]))
 
 
 small = st.integers(-2, 8).map(str)
@@ -128,3 +142,160 @@ gen_options = st.fixed_dictionaries(
 def test_gen_keeps_the_exit_contract(kind, options, positive):
     argv = ["gen", "--kind", kind, *(x for kv in options.items() for x in kv)]
     assert_contract(*run_main(argv + ["--positive"] * positive))
+
+
+at_arguments = st.one_of(
+    st.lists(st.integers(-1, 7), max_size=4).map(json.dumps),
+    st.lists(literals, max_size=4).map(json.dumps),
+    json_values.map(json.dumps),
+    st.text(max_size=6),
+)
+
+
+@FUZZ
+@given(doc=documents, raw=raw_text, at=at_arguments)
+def test_eval_xos_roof_keeps_the_exit_contract(tmp_path_factory, doc, raw, at):
+    path = write(tmp_path_factory, "doc.json", doc, raw)
+    assert_contract(*run_main(["eval", "--class", "xos-roof", "--at", at, "--input", path]))
+
+
+clean_literals = st.builds("{}/{}".format, st.integers(-3, 9), st.integers(1, 4))
+
+
+def well_formed_convex(m):
+    point = st.fixed_dictionaries(
+        {
+            "x": st.lists(clean_literals, min_size=m, max_size=m),
+            "value": clean_literals,
+        }
+    )
+    return st.fixed_dictionaries({"dim": st.just(m), "points": st.lists(point, max_size=6)})
+
+
+convex_documents = st.one_of(
+    st.integers(1, 3).flatmap(well_formed_convex),
+    st.fixed_dictionaries(
+        {
+            "dim": st.integers(-1, 3) | json_values,
+            "points": st.lists(
+                st.fixed_dictionaries(
+                    {
+                        "x": st.lists(literals, max_size=3) | json_values,
+                        "value": literals | json_values,
+                    }
+                )
+                | json_values,
+                max_size=6,
+            ),
+        }
+    ),
+    json_values,
+)
+
+
+@FUZZ
+@given(
+    doc=convex_documents,
+    raw=raw_text,
+    argv=st.one_of(
+        st.just(["extend", "--class", "convex"]),
+        st.sampled_from([[], ["--audit"]]).map(lambda a: ["approx", "--class", "convex", *a]),
+        st.tuples(st.sampled_from(["convex-roof", "convex-tilde"]), at_arguments).map(
+            lambda ka: ["eval", "--class", ka[0], "--at", ka[1]]
+        ),
+        st.just(["vertices"]),
+    ),
+)
+def test_convex_commands_keep_the_exit_contract(tmp_path_factory, doc, raw, argv):
+    path = write(tmp_path_factory, "doc.json", doc, raw)
+    assert_contract(*run_main([*argv, "--input", path]))
+
+
+def well_formed_certificate(m):
+    subset = st.lists(st.integers(0, m - 1), max_size=m, unique=True)
+    entry = st.fixed_dictionaries(
+        {"a": subset, "b": subset},
+        optional={"count": st.integers(-1, 3) | st.just(MAX_REWRITE_SIZE + 1)},
+    )
+    return st.fixed_dictionaries({"m": st.just(m), "tuples": st.lists(entry, max_size=4)})
+
+
+certificates = st.one_of(
+    st.integers(1, 5).flatmap(well_formed_certificate),
+    st.fixed_dictionaries(
+        {"tuples": st.lists(json_values, max_size=3) | json_values},
+        optional={"m": st.integers(-1, 5) | json_values},
+    ),
+    json_values,
+)
+
+
+def generated_pair(m, seed, count):
+    """A verifying certificate and the function it refutes, from the
+    generator behind ``gen --kind cert``, with one count replaced."""
+    cert, h = random_valid_square_certificate(m, random.Random(seed))
+    cert_doc = to_jsonable(cert)
+    if count is not None:
+        cert_doc["tuples"][0]["count"] = count
+    return to_jsonable(h), cert_doc
+
+
+certificate_pairs = st.one_of(
+    st.tuples(documents, certificates),
+    st.builds(
+        generated_pair,
+        st.integers(2, 5),
+        st.integers(0, 1 << 16),
+        st.none() | st.integers(-1, 3) | st.just(MAX_REWRITE_SIZE + 1),
+    ),
+)
+
+
+@FUZZ
+@given(
+    pair=certificate_pairs,
+    raw=raw_text,
+    command=st.sampled_from(["verify-cert", "rewrite-cert"]),
+)
+def test_certificate_commands_keep_the_exit_contract(tmp_path_factory, pair, raw, command):
+    doc, cert = pair
+    path = write(tmp_path_factory, "doc.json", doc)
+    cert_path = write(tmp_path_factory, "cert.json", cert, raw)
+    assert_contract(*run_main([command, "--input", path, "--cert", cert_path]))
+
+
+def well_formed_table(m):
+    values = st.lists(st.integers(0, 9).map(str), min_size=1 << m, max_size=1 << m)
+    return st.fixed_dictionaries({"m": st.just(m), "values": values})
+
+
+tables = st.one_of(
+    st.integers(0, 4).flatmap(well_formed_table),
+    st.fixed_dictionaries(
+        {
+            "m": st.integers(-1, 3) | json_values,
+            "values": st.lists(literals | json_values, max_size=8),
+        }
+    ),
+    json_values,
+)
+
+
+@FUZZ
+@given(
+    table=tables,
+    raw=raw_text,
+    klass=st.sampled_from(["subadditive", "xos", "subadditive-nonmonotone"]),
+    epsilon=st.sampled_from(["1/2", "1/3", "1/8", "1", "0", "2", "-1/2", "1/0", "x"]),
+    options=st.fixed_dictionaries(
+        {},
+        optional={
+            "--seed": st.integers(0, 9).map(str) | st.just("x"),
+            "--trials": st.sampled_from(["1", "2", "0", "x"]),
+        },
+    ),
+)
+def test_testers_keep_the_exit_contract(tmp_path_factory, table, raw, klass, epsilon, options):
+    path = write(tmp_path_factory, "table.json", table, raw)
+    argv = ["test", "--class", klass, "--oracle", path, "--epsilon", epsilon, "--jobs", "1"]
+    assert_contract(*run_main(argv + [x for kv in options.items() for x in kv]))

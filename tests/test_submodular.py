@@ -372,3 +372,264 @@ def test_refuting_square_none_for_modular_assignment():
     cert = sm.SquareCertificate(2, ((square(0b01, 0b10), 1),), h)
     modular = {s: Rational(3 * popcount(s)) for s in cert.involved_sets()}
     assert sm.refuting_square(cert, modular) is None
+
+
+# --- the previous pipeline, kept as references ------------------------------
+
+
+def reference_extract(h, witness, problem):
+    """The extractor that decoded submodularity rows from the LP itself:
+    the w<mask> variable names and the +1, +1, -1, -1 coefficient
+    pattern."""
+    from extendkit import lp
+    from extendkit.ground import denominator_lcm, scaled_int
+
+    if not lp.verify_farkas(problem, witness):
+        raise WitnessInvalid("witness does not verify against the LP")
+    var_mask = {
+        i: int(name[1:]) for i, name in enumerate(problem.variables) if name.startswith("w")
+    }
+    pairs = []
+    for row, lam in zip(problem.constraints, witness.multipliers):
+        if row.relation != ">=" or row.rhs != 0 or lam == 0:
+            continue
+        pos = [var_mask[j] for j, c in enumerate(row.coeffs) if c == 1]
+        neg = [var_mask[j] for j, c in enumerate(row.coeffs) if c == -1]
+        if len(pos) != 2 or len(neg) != 2:
+            continue
+        a, b = pos
+        if {a | b, a & b} != set(neg):
+            raise WitnessInvalid("unrecognized row pattern in the family LP")
+        if lam < 0:
+            raise WitnessInvalid("negative multiplier on a submodularity row")
+        pairs.append(((a, b), lam))
+    if not pairs:
+        raise WitnessInvalid("witness places no weight on submodularity rows")
+    scale = denominator_lcm(lam for _, lam in pairs)
+    tuples = [
+        (square(a, b), scaled_int(lam, scale)) for (a, b), lam in pairs if a != b
+    ]
+    cert = sm.SquareCertificate(h.m, tuple(tuples), context=h)
+    if not sm.verify_square_certificate(cert, h):
+        raise WitnessInvalid("extracted certificate fails verification")
+    return cert
+
+
+def reference_square_to_boolean(cert):
+    """Square-to-circuit by gate rewiring: four gates per unit of count,
+    then one merge at a time, each merge rewiring the lists of the merged
+    gates' neighbours."""
+    from extendkit.errors import MergeStuck
+    from extendkit.ground import elements, is_subset, lex_key
+
+    h = cert.context
+    if h is None:
+        raise WitnessInvalid("certificate carries no partial-function context")
+    if not sm.verify_square_certificate(cert, h):
+        raise WitnessInvalid("certificate does not verify")
+    nxt = 0
+    op_of, creator, is_input, ins, outs = {}, {}, {}, {}, {}
+
+    def new_gate(op, c, srcs):
+        nonlocal nxt
+        gid = nxt
+        nxt += 1
+        op_of[gid], creator[gid], is_input[gid] = op, c, op == "input"
+        ins[gid], outs[gid] = list(srcs), []
+        for s in srcs:
+            outs[s].append(gid)
+        return gid
+
+    for t, k in cert.tuples:
+        if t.a == t.b or is_subset(t.a, t.b) or is_subset(t.b, t.a):
+            continue
+        for _ in range(k):
+            g1 = new_gate("input", t.a, ())
+            g2 = new_gate("input", t.b, ())
+            new_gate("or", t.top, (g1, g2))
+            new_gate("and", t.bottom, (g1, g2))
+    if not op_of:
+        raise MergeStuck("certificate holds only trivial or comparable squares")
+    by_creator = {}
+    for gid in op_of:
+        by_creator.setdefault(creator[gid], ([], []))[0 if is_input[gid] else 1].append(gid)
+    alive = set(op_of)
+    for c in sorted(by_creator, key=lex_key):
+        for g_in, g_out in zip(*by_creator[c]):
+            g3 = new_gate(op_of[g_out], creator[g_in], ())
+            ins[g3] = list(ins[g_out])
+            outs[g3] = list(outs[g_in])
+            for u in ins[g3]:
+                outs[u] = [g3 if x == g_out else x for x in outs[u]]
+            for v in outs[g3]:
+                ins[v] = [g3 if x == g_in else x for x in ins[v]]
+            alive -= {g_in, g_out}
+            alive.add(g3)
+    defined = set(h.masks)
+    for gid in alive:
+        if (is_input[gid] or not outs[gid]) and creator[gid] not in defined:
+            raise MergeStuck(
+                f"unmergeable terminal gate maps to undefined set "
+                f"{sorted(elements(creator[gid]))}"
+            )
+    inputs_l = sorted(g for g in alive if is_input[g])
+    outputs_l = sorted(g for g in alive if not is_input[g] and not outs[g])
+    inters_l = sorted(g for g in alive if not is_input[g] and outs[g])
+    order = inputs_l + outputs_l + inters_l
+    remap = {old: new for new, old in enumerate(order)}
+    gates = tuple(
+        sm.Gate(remap[old], op_of[old], "ip" if is_input[old] else ("im" if outs[old] else "op"))
+        for old in order
+    )
+    edges = tuple(sorted((remap[u], remap[v]) for u in alive for v in outs[u]))
+    creators = tuple(creator[old] for old in order)
+    bc = sm.BooleanCircuitCertificate(cert.m, gates, edges, creators, h)
+    bc.validate()
+    return bc
+
+
+def reference_boolean_to_square(bc):
+    """Circuit-to-square by splitting every intermediate gate into a new
+    input plus an output first, then grouping gates by input pair."""
+    from extendkit.errors import MalformedCircuit
+
+    bc.validate()
+    ins = {g: list(v) for g, v in bc.in_edges().items()}
+    outs = {g: list(v) for g, v in bc.out_edges().items()}
+    op_of = {g.gid: g.op for g in bc.gates}
+    creator = dict(zip((g.gid for g in bc.gates), bc.creators))
+    nxt = max(op_of) + 1 if op_of else 0
+    for g in [g.gid for g in bc.gates if g.role == "im"]:
+        gin = nxt
+        nxt += 1
+        op_of[gin], creator[gin], ins[gin], outs[gin] = "input", creator[g], [], outs[g]
+        for v in outs[g]:
+            ins[v] = [gin if x == g else x for x in ins[v]]
+        outs[g] = []
+    pair_gates = {}
+    for g, op in op_of.items():
+        if op != "input":
+            pair_gates.setdefault(frozenset(ins[g]), {})[op] = g
+    tuples = []
+    for srcs, by_op in pair_gates.items():
+        if set(by_op) != {"and", "or"}:
+            raise MalformedCircuit("input pair lacks its AND/OR partner")
+        u, v = sorted(srcs)
+        sq = square(creator[u], creator[v])
+        if creator[by_op["or"]] != sq.top or creator[by_op["and"]] != sq.bottom:
+            raise MalformedCircuit("component creators violate the set algebra")
+        tuples.append((sq, 1))
+    cert = sm.SquareCertificate(bc.m, tuple(tuples), bc.context)
+    if bc.context is not None and not sm.verify_square_certificate(cert, bc.context):
+        raise MalformedCircuit("converted certificate does not verify")
+    return cert
+
+
+def seeded_certificates(seed, count):
+    """``count`` verifying certificates: 70% random_valid_square_certificate
+    at m 2-6, 30% extracted from refuted random instances at m 4-5."""
+    import random
+
+    from extendkit.oracle import random_partial_function, random_valid_square_certificate
+
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        if rng.random() < 0.7:
+            out.append(random_valid_square_certificate(rng.randint(2, 6), rng))
+            continue
+        h = random_partial_function(rng.randint(4, 5), rng.randint(6, 10), (0, 6), rng)
+        res = sm.extend_submodular(h)
+        if not res.extendible:
+            out.append((res.certificate, h))
+    return out
+
+
+def circuit_tuple(bc):
+    return bc.gates, bc.edges, bc.creators
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_circuit_pipeline_matches_the_rewiring_reference(seed, monkeypatch):
+    """The one-pass circuit equals the rewired one gate for gate; reading
+    squares back without the split, and the rewrite built on both, give
+    the references' certificates."""
+    cases = seeded_certificates(seed, 120)
+    expected = []
+    for cert, h in cases:
+        bc = reference_square_to_boolean(cert)
+        expected.append((circuit_tuple(bc), reference_boolean_to_square(bc).tuples))
+    for (cert, h), (circuit, back) in zip(cases, expected):
+        bc = sm.square_to_boolean(cert)
+        assert circuit_tuple(bc) == circuit
+        assert sm.boolean_to_square(bc).tuples == back
+    rewritten = [sm.lattice_rewrite(cert, h).tuples for cert, h in cases]
+    monkeypatch.setattr(sm, "square_to_boolean", reference_square_to_boolean)
+    monkeypatch.setattr(sm, "boolean_to_square", reference_boolean_to_square)
+    assert rewritten == [sm.lattice_rewrite(cert, h).tuples for cert, h in cases]
+
+
+def test_extractor_matches_the_pattern_decoding_reference(monkeypatch):
+    """On refuted random instances, extend_submodular's certificate is the
+    one the pattern-decoding extractor reads off the same witness."""
+    import random
+
+    from extendkit.oracle import random_partial_function
+
+    extract = sm.extract_square_certificate
+    seen = []
+
+    def both(h, witness, problem, pairs):
+        cert = extract(h, witness, problem, pairs)
+        seen.append(cert.tuples == reference_extract(h, witness, problem).tuples)
+        return cert
+
+    monkeypatch.setattr(sm, "extract_square_certificate", both)
+    rng = random.Random(4)
+    refuted = 0
+    while refuted < 150:
+        h = random_partial_function(rng.randint(4, 6), rng.randint(6, 10), (0, 6), rng)
+        refuted += not sm.extend_submodular(h).extendible
+    assert len(seen) == refuted and all(seen)
+
+
+# --- pipeline checks that well-formed certificates never reach ---------------
+
+
+def _loop_circuit_with(points):
+    """helpers.loop_pair_circuit's gates, edges and creators over another
+    partial function."""
+    from helpers import loop_pair_circuit
+
+    bc = loop_pair_circuit()
+    h = PartialSetFunction(3, tuple((mask_of(s), Q(v)) for s, v in points))
+    return sm.BooleanCircuitCertificate(bc.m, bc.gates, bc.edges, bc.creators, h)
+
+
+def test_validate_rejects_a_weighting_that_is_not_positive():
+    from extendkit.errors import MalformedCircuit
+
+    bc = _loop_circuit_with([([], 0), ([0], 1), ([1, 2], 0), ([0, 1, 2], 1)])
+    with pytest.raises(MalformedCircuit, match="weighting is not positive"):
+        bc.validate()
+
+
+def test_validate_rejects_a_terminal_gate_on_an_undefined_set():
+    from extendkit.errors import MalformedCircuit
+
+    # the input gate with creator {0} has no value; the weighting is positive
+    bc = _loop_circuit_with([([], 0), ([1, 2], 0), ([0, 1, 2], 1)])
+    with pytest.raises(MalformedCircuit, match="gate 0 .* maps to an undefined set"):
+        bc.validate()
+
+
+def test_square_to_boolean_refuses_only_comparable_squares(monkeypatch):
+    """Comparable squares never verify (their weighting is 0), so the
+    MergeStuck guard is reached only past a verification that passes."""
+    from extendkit.errors import MergeStuck
+
+    h = psf(2, ([], 0), ([0], 0), ([0, 1], 1))
+    cert = sm.SquareCertificate(2, ((square(0b01, 0b11), 2), (square(0b01, 0b01), 1)), h)
+    monkeypatch.setattr(sm, "verify_square_certificate", lambda _c, _h: True)
+    with pytest.raises(MergeStuck, match="only trivial or comparable squares"):
+        sm.square_to_boolean(cert)
