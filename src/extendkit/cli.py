@@ -201,7 +201,7 @@ def cmd_eval(args) -> int:
         else:
             _emit({"status": "ok", "value": str(value)})
         return EXIT_OK
-    value, _vertices = convex.eval_tilde(ch, x)
+    value = convex.eval_tilde(ch, x)
     _emit({"status": "ok", "value": str(value)})
     return EXIT_OK
 
@@ -387,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument(
         "--audit",
         action="store_true",
-        help="cross-check the convex closed form against the bisection path",
+        help="cross-check the convex closed form with two feasibility probes",
     )
     common(sp, cap=True)
 

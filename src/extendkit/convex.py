@@ -5,23 +5,28 @@ and outside the hull.
 
 The roof of x is min sum lambda_i f_i over convex combinations of the
 defined points hitting x; a partial function extends to a convex function
-iff the roof equals the pinned value at every defined point. Outside the
-hull the canonical extension is the max over vertices (y, mu) of the dual
-{T_i . y + mu <= f_i} of x . y + mu, which needs vertex enumeration and is
-exponential in m (it is NP-hard in general), hence the budget of
-MAX_VERTEX_SYSTEMS square systems, checked before any is solved.
+iff the roof equals the pinned value at every defined point. The canonical
+extension is the max over vertices (y, mu) of the dual
+{T_i . y + mu <= f_i} of x . y + mu. Inside the hull that is the roof: the
+roof LP's dual maximises x . y + mu over the same polyhedron, which is
+pointed when the hull is full-dimensional, so one LP answers. Outside the
+hull it needs vertex enumeration, exponential in m (it is NP-hard in
+general), hence the budget of MAX_VERTEX_SYSTEMS square systems, checked
+before any is solved.
 
-One exact elimination routine, _eliminate (Gauss-Jordan on integer rows by
-lp.pivot, the simplex's fraction-free pivot), serves both the affine
-dimension and the square solves of vertex enumeration; the rows are scaled
-to integers once and rationals are formed only for the vertices that are
-kept.
+One exact elimination step, _absorb (append a row to a fraction-free
+Gauss-Jordan system and pivot it by lp.pivot, the simplex's pivot), serves
+both the affine dimension and vertex enumeration. Enumeration walks the
+(m+1)-subsets as a depth-first search over the combination tree, so each
+prefix's system is built once and shared by every subset that extends it,
+and a row that depends on its prefix cuts off every subset containing
+both. The rows are scaled to integers once and rationals are formed only
+for the vertices that are kept.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from math import comb, gcd
 from typing import Optional
 
@@ -43,8 +48,8 @@ from .ground import (
     scaled_int,
 )
 
-# The most (m+1)-subsets vertex enumeration solves: C(n, m+1) square
-# systems, each an exact elimination.
+# The most (m+1)-subsets vertex enumeration may solve: C(n, m+1) square
+# systems, counted before any is built.
 MAX_VERTEX_SYSTEMS = 1 << 18
 
 
@@ -88,9 +93,11 @@ def affine_dimension(points) -> int:
     if not pts:
         raise MalformedDocument("need at least one point")
     base = pts[0]
-    rows = [_integer_row([c - b for c, b in zip(p, base)]) for p in pts[1:]]
-    _d, pivots = _eliminate(rows, len(base))
-    return len(pivots)
+    system = _EMPTY
+    for p in pts[1:]:
+        row = _integer_row([c - b for c, b in zip(p, base)])
+        system = _absorb(system, row, len(base)) or system
+    return len(system[1])
 
 
 def _integer_row(row) -> list[int]:
@@ -99,28 +106,36 @@ def _integer_row(row) -> list[int]:
     return [scaled_int(c, scale) for c in row]
 
 
-def _eliminate(rows: list[list[int]], ncols: int):
-    """Fraction-free Gauss-Jordan on integer rows by lp.pivot, in place;
-    returns (d, pivots) with pivots the (row, column) pairs in pivot order.
+# A fraction-free Gauss-Jordan system (rows, pivot columns, d) of no rows.
+_EMPTY = ((), (), 1)
 
-    Column c < ncols is pivoted on the first row not yet pivoted with a
-    nonzero entry there, and skipped when there is none. Afterwards, for
-    B the input's submatrix on the pivot rows and columns and
-    d = |det B| > 0, the pivot rows hold d * B^-1 times the input's pivot
-    rows: each holds d in its own pivot column, and every pivot column is
-    zero in every other row.
+
+def _absorb(system, row: list[int], ncols: int):
+    """The fraction-free Gauss-Jordan system grown by one integer row, or
+    None when the row depends on the system's rows in its first ``ncols``
+    columns. The input system is left untouched, so prefixes can share it.
+
+    A system (rows, cols, d) holds in row r d * B^-1 times the input rows,
+    for B the input rows' submatrix on the pivot columns and
+    d = |det B| > 0: d in its pivot column cols[r], and zero in every other
+    pivot column. The new row v reduces to w = d*v - sum_r v[cols[r]] *
+    rows[r], which is zero in every pivot column and is v's row over the
+    same denominator; w then takes one lp.pivot on its first nonzero
+    column (Bareiss 1968).
     """
-    d = 1
-    pivots = []
-    free = list(range(len(rows)))
-    for c in range(ncols):
-        r = next((i for i in free if rows[i][c]), None)
-        if r is None:
-            continue
-        free.remove(r)
-        d = lp.pivot(rows, r, c, d)
-        pivots.append((r, c))
-    return d, pivots
+    rows, cols, d = system
+    w = [d * a for a in row]
+    for prow, c in zip(rows, cols):
+        f = row[c]
+        if f:
+            w = [a - f * b for a, b in zip(w, prow)]
+    c = next((j for j in range(ncols) if w[j]), None)
+    if c is None:
+        return None
+    # copies: lp.pivot may update rows in place
+    grown = [list(prow) for prow in rows]
+    grown.append(w)
+    return grown, cols + (c,), lp.pivot(grown, len(rows), c, d)
 
 
 def _check_dim(ch: ConvexPartialFunction, x) -> tuple:
@@ -169,9 +184,8 @@ def approx_convex(ch: ConvexPartialFunction, audit: bool = False):
     """Minimal alpha admitting a convex f with f_i <= f(T_i) <= alpha f_i.
 
     Closed form: the roof is linear in the upper-bound values, so alpha* =
-    max_i f_i / roof(T_i). With audit=True the box-feasibility bisection
-    (re-solving the roof LPs of the scaled instance at every probe) must
-    bracket the same number to 2^-40.
+    max_i f_i / roof(T_i). With audit=True the box-feasibility probe must
+    confirm it to 2^-40 (see _audit).
     """
     for vec, v in ch.points:
         if v <= 0:
@@ -183,12 +197,26 @@ def approx_convex(ch: ConvexPartialFunction, audit: bool = False):
         if ratio > alpha:
             alpha = ratio
     if audit:
-        lo, hi = bisect_approx_convex(ch, tol=Rational(1, 2**40))
-        if not lo <= alpha <= hi:
-            raise InternalError(
-                "internal error: closed form escaped the bisection bracket"
-            )
+        _audit(ch, alpha)
     return alpha
+
+
+# How far below the audited factor the optimum is certified to lie.
+AUDIT_TOL = Rational(1, 2**40)
+
+
+def _audit(ch: ConvexPartialFunction, alpha) -> None:
+    """Check a factor against the feasibility probe alone, which re-solves
+    the roof LPs of the scaled instance and never uses the closed form.
+    Feasibility is monotone in the factor, so two probes bracket the
+    optimum in (alpha - AUDIT_TOL, alpha]: feasible at alpha and, when
+    alpha > 1, infeasible at alpha - AUDIT_TOL."""
+    if not feasible_at_alpha(ch, alpha):
+        raise InternalError("internal error: the closed-form factor is infeasible")
+    if alpha > ONE and feasible_at_alpha(ch, alpha - AUDIT_TOL):
+        raise InternalError(
+            "internal error: a factor 2^-40 below the closed form is feasible"
+        )
 
 
 def feasible_at_alpha(ch: ConvexPartialFunction, alpha) -> bool:
@@ -208,33 +236,12 @@ def feasible_at_alpha(ch: ConvexPartialFunction, alpha) -> bool:
     return True
 
 
-def bisect_approx_convex(ch: ConvexPartialFunction, tol) -> tuple[Rational, Rational]:
-    """Bracket the optimal factor with the feasibility probe alone."""
-    tol = Rational(tol)
-    if feasible_at_alpha(ch, ONE):
-        return ONE, ONE
-    lo, hi = ONE, Rational(2)
-    while not feasible_at_alpha(ch, hi):
-        lo, hi = hi, hi * 2
-    while hi - lo > tol:
-        mid = (lo + hi) / 2
-        if feasible_at_alpha(ch, mid):
-            hi = mid
-        else:
-            lo = mid
-    return lo, hi
-
-
-def enumerate_dual_vertices(ch: ConvexPartialFunction) -> tuple[DualVertex, ...]:
-    """All vertices of Q = {(y, mu) : T_i . y + mu <= f_i}: solve every
-    (m+1)-subset of constraints as equalities, keep nonsingular feasible
-    solutions, deduplicate exact coordinates.
-
-    Each row (T_i, 1 | f_i) is scaled to integers a_i | b_i once. A subset
-    solves by _eliminate to (y, mu) = x / d with integers x and d > 0,
-    reduced by their gcd, which makes (x, d) canonical; row i holds at x / d
-    when a_i . x <= b_i * d. Rationals are formed only for the vertices
-    that are kept. Refuses more than MAX_VERTEX_SYSTEMS subsets."""
+def _vertex_rows(ch: ConvexPartialFunction) -> list[list[int]]:
+    """The dual's rows (T_i, 1 | f_i), each scaled to integers once, after
+    the checks the vertices need, in this order: at most
+    MAX_VERTEX_SYSTEMS (m+1)-subsets (TooLarge), counted before any system
+    is solved, and a full-dimensional hull (DegenerateHull), without which
+    the dual polyhedron has no vertex."""
     m, n = ch.m, len(ch.points)
     if comb(n, m + 1) > MAX_VERTEX_SYSTEMS:
         raise TooLarge(
@@ -246,19 +253,51 @@ def enumerate_dual_vertices(ch: ConvexPartialFunction) -> tuple[DualVertex, ...]
             "the defined points span less than the ambient dimension; "
             "the dual polyhedron has no vertex (project to the affine hull)"
         )
+    return [_integer_row(list(vec) + [ONE, value]) for vec, value in ch.points]
+
+
+def enumerate_dual_vertices(
+    ch: ConvexPartialFunction, rows: Optional[list[list[int]]] = None
+) -> tuple[DualVertex, ...]:
+    """All vertices of Q = {(y, mu) : T_i . y + mu <= f_i}: solve every
+    (m+1)-subset of constraints as equalities, keep nonsingular feasible
+    solutions, deduplicate exact coordinates. ``rows`` is _vertex_rows(ch)
+    when the caller has already run its checks.
+
+    The subsets are visited depth first over the combination tree, in
+    lexicographic order: each prefix's system is built once by _absorb and
+    shared by every subset that extends it, and a row that depends on its
+    prefix skips every subset holding both, all of them singular. A full
+    subset solves to (y, mu) = x / d with integers x and d > 0, reduced by
+    their gcd, which makes (x, d) canonical; row i = a_i | b_i holds at
+    x / d when a_i . x <= b_i * d. Rationals are formed only for the
+    vertices that are kept."""
+    if rows is None:
+        rows = _vertex_rows(ch)
+    m, n = ch.m, len(rows)
     k = m + 1
-    rows = [_integer_row(list(vec) + [ONE, value]) for vec, value in ch.points]
     seen = set()
     kept = []
-    for subset in combinations(range(n), k):
-        # copies: _eliminate updates rows in place
-        system = [list(rows[i]) for i in subset]
-        d, pivots = _eliminate(system, k)
-        if len(pivots) < k:
-            continue  # singular
+
+    # per depth of the combination tree: (system, rows left to try next)
+    path = [(_EMPTY, iter(range(n - k + 1)))]
+    while path:
+        system, candidates = path[-1]
+        i = next(candidates, None)
+        if i is None:
+            path.pop()
+            continue
+        child = _absorb(system, rows[i], k)
+        if child is None:
+            continue  # singular, with every subset holding it
+        depth = len(path)
+        if depth < k:
+            path.append((child, iter(range(i + 1, n - k + depth + 1))))
+            continue
+        srows, cols, d = child
         x = [0] * k
-        for r, c in pivots:
-            x[c] = system[r][k]
+        for srow, c in zip(srows, cols):
+            x[c] = srow[k]
         g = gcd(d, *x)
         key = (tuple(v // g for v in x), d // g)
         if key in seen:
@@ -286,8 +325,15 @@ def _dot(row, x) -> int:
     return sum(a * v for a, v in zip(row, x))
 
 
-def eval_tilde(ch: ConvexPartialFunction, x):
-    """The canonical extension: max over dual vertices of x . y + mu."""
+def eval_tilde(ch: ConvexPartialFunction, x) -> Rational:
+    """The canonical extension at x: the max over dual vertices of
+    x . y + mu. Inside the hull that is the roof value, since the roof
+    LP's dual maximises x . y + mu over Q, which is pointed (the checks of
+    _vertex_rows make the hull full-dimensional) and so attains its
+    maximum at a vertex; only a point outside the hull enumerates."""
     x = _check_dim(ch, x)
-    vertices = enumerate_dual_vertices(ch)
-    return max(v.value_at(x) for v in vertices), vertices
+    rows = _vertex_rows(ch)
+    roof = roof_value(ch, x)
+    if roof is not None:
+        return roof
+    return max(v.value_at(x) for v in enumerate_dual_vertices(ch, rows))

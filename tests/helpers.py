@@ -1,8 +1,10 @@
 """Shared test oracles: independent derivability fixpoint and exhaustive
-satisfying-assignment enumeration for boolean certificates."""
+satisfying-assignment enumeration for boolean certificates, and the
+bisection that brackets the optimal convex factor."""
 
 from itertools import product
 
+from extendkit.convex import feasible_at_alpha
 from extendkit.ground import PartialSetFunction, Rational as Q, mask_of
 from extendkit.submodular import (
     BooleanCircuitCertificate,
@@ -123,3 +125,21 @@ def diamond_certificate():
         3, ((square(0b001, 0b010), 1), (square(0b011, 0b110), 1)), h
     )
     return cert, h
+
+
+def bisect_approx_convex(ch, tol):
+    """Bracket the optimal convex factor to ``tol`` by bisection on the
+    box-feasibility probe alone, independent of the closed form."""
+    tol = Q(tol)
+    if feasible_at_alpha(ch, 1):
+        return Q(1), Q(1)
+    lo, hi = Q(1), Q(2)
+    while not feasible_at_alpha(ch, hi):
+        lo, hi = hi, hi * 2
+    while hi - lo > tol:
+        mid = (lo + hi) / 2
+        if feasible_at_alpha(ch, mid):
+            hi = mid
+        else:
+            lo = mid
+    return lo, hi

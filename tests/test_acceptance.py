@@ -25,7 +25,7 @@ from extendkit.ground import (
     popcount,
 )
 
-from helpers import diamond_certificate, loop_pair_circuit
+from helpers import bisect_approx_convex, diamond_certificate, loop_pair_circuit
 
 TOL_2_40 = Q(1, 2**40)
 
@@ -266,7 +266,7 @@ def test_criterion_8_convex():
 
         x_out = _exterior_point(rng, ch)
         if x_out is not None:
-            tilde, _verts = cx.eval_tilde(ch, x_out)
+            tilde = cx.eval_tilde(ch, x_out)
             assert tilde == max(v.value_at(x_out) for v in vertices)
             assert cx.roof_value(ch, x_out) is None
             for _ in range(6):
@@ -276,7 +276,7 @@ def test_criterion_8_convex():
             gap = _line_search_gap(ch, x_out, tilde, vertices)
             assert 0 <= gap < Q(1, 10**6)
 
-        lo, hi = cx.bisect_approx_convex(ch, TOL_2_40)
+        lo, hi = bisect_approx_convex(ch, TOL_2_40)
         alpha = cx.approx_convex(ch)
         assert lo <= alpha <= hi and hi - lo <= TOL_2_40
     _stamp("criterion-8 convex", started)

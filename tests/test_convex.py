@@ -4,12 +4,16 @@ import json
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import gcd, lcm
 
 import pytest
 
 from extendkit import convex as cx
+from extendkit import lp
 from extendkit.errors import DegenerateHull, InternalError, ValueNotPositive
 from extendkit.ground import ConvexPartialFunction, Rational as Q
+
+from helpers import bisect_approx_convex
 
 
 def cpf(m, *pairs):
@@ -94,13 +98,13 @@ def test_dual_vertices_degenerate():
 
 
 def test_eval_tilde_outside_segment():
-    value, _ = cx.eval_tilde(cpf(1, ((0,), 0), ((1,), 1)), (Q(2),))
+    value = cx.eval_tilde(cpf(1, ((0,), 0), ((1,), 1)), (Q(2),))
     assert value == 2
 
 
 def test_eval_tilde_kink_exterior():
     h = cpf(1, ((0,), 0), ((1,), 2), ((2,), 2))
-    value, _ = cx.eval_tilde(h, (Q(3),))
+    value = cx.eval_tilde(h, (Q(3),))
     assert value == 3  # single dual vertex (1,0)
 
 
@@ -109,7 +113,7 @@ def test_eval_tilde_equals_roof_inside():
     rng = random.Random(9)
     for _ in range(25):
         x = (Q(rng.randint(0, 8), 4),)
-        tilde, _ = cx.eval_tilde(h, x)
+        tilde = cx.eval_tilde(h, x)
         assert tilde == cx.roof_value(h, x)
 
 
@@ -155,8 +159,63 @@ def test_bisection_matches_closed_form():
         pts = [(Q(i), Q(rng.randint(1, 9), rng.randint(1, 3))) for i in range(4)]
         h = ConvexPartialFunction(1, tuple(((p,), v) for p, v in pts))
         alpha = cx.approx_convex(h)
-        lo, hi = cx.bisect_approx_convex(h, Q(1, 2**40))
+        lo, hi = bisect_approx_convex(h, Q(1, 2**40))
         assert lo <= alpha <= hi and hi - lo <= Q(1, 2**40)
+
+
+def test_audit_two_probes_reject_a_wrong_factor(monkeypatch):
+    """The audit accepts the optimal factor with two probes, at it and
+    2^-40 below it; a factor 2^-39 too high (the probe below it is still
+    feasible) and one 2^-41 too low (itself infeasible) raise
+    InternalError; at factor 1 one probe suffices."""
+    probe = cx.feasible_at_alpha
+    probes = []
+
+    def counted(ch, alpha):
+        probes.append(alpha)
+        return probe(ch, alpha)
+
+    monkeypatch.setattr(cx, "feasible_at_alpha", counted)
+    h = cpf(1, ((0,), 1), ((1,), 2), ((2,), 2))
+    alpha = cx.approx_convex(h)
+    assert alpha == Q(4, 3) and probes == []
+    cx._audit(h, alpha)
+    assert probes == [alpha, alpha - Q(1, 2**40)]
+    high, low = alpha + Q(1, 2**39), alpha - Q(1, 2**41)
+    assert probe(h, high - Q(1, 2**40)) and not probe(h, low)
+    for wrong in (high, low):
+        with pytest.raises(InternalError):
+            cx._audit(h, wrong)
+    flat = cpf(1, ((0,), 1), ((1,), 1), ((2,), 1))
+    probes.clear()
+    assert cx.approx_convex(flat, audit=True) == 1
+    assert probes == [1]
+
+
+def test_tilde_inside_the_hull_is_the_roof_without_enumeration(tmp_path, monkeypatch):
+    """Inside the hull the canonical extension is the roof LP's value and
+    no vertex is enumerated; a degenerate hull is refused (exit 3, as
+    vertices refuses it) at points inside and outside it alike."""
+
+    def no_enumeration(*_args):
+        raise AssertionError("the canonical extension enumerated vertices")
+
+    h = cpf(2, ((0, 0), 0), ((2, 0), 3), ((0, 2), 1), ((2, 2), 5), ((1, 1), 1))
+    rng = random.Random(17)
+    inside = [(Q(rng.randint(0, 8), 4), Q(rng.randint(0, 8), 4)) for _ in range(10)]
+    want = [max(v.value_at(x) for v in cx.enumerate_dual_vertices(h)) for x in inside]
+    monkeypatch.setattr(cx, "enumerate_dual_vertices", no_enumeration)
+    assert [cx.eval_tilde(h, x) for x in inside] == want
+    assert want == [cx.roof_value(h, x) for x in inside]
+    with pytest.raises(AssertionError):
+        cx.eval_tilde(h, (Q(3), Q(0)))
+
+    line = [{"x": [str(i), str(i)], "value": str(i * i)} for i in range(3)]
+    doc = {"dim": 2, "points": line}
+    for at in ('["1","1"]', '["1","0"]', '["5","5"]'):
+        code, out, err = _cli(tmp_path, doc, ["eval", "--class", "convex-tilde", "--at", at])
+        assert (code, out) == (3, ""), err
+        assert "span less than the ambient dimension" in err
 
 
 def _reference_solve(rows):
@@ -254,6 +313,136 @@ def test_dual_vertices_match_rational_reference():
     assert degenerate < 30
 
 
+def _eliminate(rows, ncols):
+    """Fraction-free Gauss-Jordan by lp.pivot on one square system, in
+    place and from scratch: (d, [(row, column)] in pivot order). Column c
+    is pivoted on the first row not yet pivoted that is nonzero there."""
+    d = 1
+    pivots = []
+    free = list(range(len(rows)))
+    for c in range(ncols):
+        r = next((i for i in free if rows[i][c]), None)
+        if r is None:
+            continue
+        free.remove(r)
+        d = lp.pivot(rows, r, c, d)
+        pivots.append((r, c))
+    return d, pivots
+
+
+def _per_subset_vertices(ch):
+    """(y, mu, tight) of every dual vertex, sorted by (y, mu), by the loop
+    that eliminates each (m+1)-subset from scratch: the integer solution
+    x / d of a nonsingular subset is keyed by (x, d) over their gcd, and
+    kept when every row a_i | b_i holds, a_i . x <= b_i * d."""
+    k = ch.m + 1
+    rows = []
+    for vec, value in ch.points:
+        row = [*vec, Q(1), value]
+        scale = lcm(*(c.denominator for c in row))
+        rows.append([int(c * scale) for c in row])
+    seen, kept = set(), []
+    for subset in combinations(range(len(rows)), k):
+        system = [list(rows[i]) for i in subset]
+        d, pivots = _eliminate(system, k)
+        if len(pivots) < k:
+            continue
+        x = [0] * k
+        for r, c in pivots:
+            x[c] = system[r][k]
+        g = gcd(d, *x)
+        key = (tuple(v // g for v in x), d // g)
+        if key in seen:
+            continue
+        seen.add(key)
+        x, d = key
+        slack = [row[k] * d - sum(a * v for a, v in zip(row, x)) for row in rows]
+        if min(slack) >= 0:
+            sol = tuple(Q(v, d) for v in x)
+            kept.append((sol[:-1], sol[-1], tuple(i for i, t in enumerate(slack) if t == 0)))
+    return sorted(kept)
+
+
+def _tangent_instance(rng, m, pieces, extra):
+    """Points pinned to the max of the tangent planes of |x|^2 at integer
+    centres: each centre and the centre plus e_i / 2, and random extra
+    points. A plane is a dual vertex tight at every point where it is the
+    max, so it is reached from many subsets."""
+    centres = set()
+    while len(centres) < pieces:
+        centres.add(tuple(rng.randint(-3, 3) for _ in range(m)))
+    pts = set()
+    for centre in centres:
+        for i in range(-1, m):
+            pts.add(tuple(Q(c) + (Q(1, 2) if j == i else 0) for j, c in enumerate(centre)))
+    goal = len(pts) + extra
+    while len(pts) < goal:
+        pts.add(tuple(Q(rng.randint(-8, 8), 2) for _ in range(m)))
+
+    def g(x):
+        return max(
+            sum(2 * c * a - c * c for c, a in zip(centre, x)) for centre in centres
+        )
+
+    return ConvexPartialFunction(m, tuple((p, g(p)) for p in pts))
+
+
+def _dependent_instance(rng, m, extra):
+    """Random points after a collinear triple that sorts first (no other
+    point reaches below -24 in the first coordinate), so that the first
+    two difference rows depend on each other and the enumeration's first
+    prefix of three rows is singular, plus a midpoint of two random points
+    and, from m = 3, a point coplanar with three others."""
+    line = [tuple(Q(-40 + t) if j == 0 else Q(t * (j + 1)) for j in range(m)) for t in range(3)]
+    pts = set(line)
+    while len(pts) < m + 2 + extra:
+        pts.add(tuple(Q(rng.randint(-8, 8), rng.choice((1, 2))) for _ in range(m)))
+    a, b, c = sorted(pts)[-3:]
+    pts.add(tuple((u + v) / 2 for u, v in zip(a, b)))
+    if m >= 3:
+        pts.add(tuple(u + v - w for u, v, w in zip(a, b, c)))
+    return ConvexPartialFunction(
+        m, tuple((p, Q(rng.randint(-6, 6), rng.choice((1, 3)))) for p in pts)
+    )
+
+
+def test_prefix_shared_enumeration_matches_the_per_subset_loop(monkeypatch):
+    """The depth-first enumeration returns exactly the vertices, in order
+    and with the tight sets, of the per-subset loop, at m 1-5: on tangent
+    planes reached from many subsets, and on instances whose collinear
+    triples, midpoints and coplanar quadruples cut off whole subtrees of
+    the combination tree: the leading triple is the first prefix the walk
+    refuses, and prefixes of fewer than m rows are refused."""
+    absorb = cx._absorb
+    calls = []
+
+    def counted(system, row, ncols):
+        grown = absorb(system, row, ncols)
+        # an enumeration row carries f_i past its ncols = m + 1 columns
+        if len(row) > ncols:
+            calls.append((len(system[1]), grown is not None))
+        return grown
+
+    monkeypatch.setattr(cx, "_absorb", counted)
+    rng = random.Random(71)
+    many = pruned = 0
+    for m in range(1, 6):
+        extra = max(1, 4 - m)
+        tangent = [_tangent_instance(rng, m, 2, extra) for _ in range(3)]
+        dependent = [_dependent_instance(rng, m, extra) for _ in range(3)]
+        for ch in tangent + dependent:
+            assert cx.affine_dimension(ch.vectors) == m
+            calls.clear()
+            got = [(v.y, v.mu, v.tight) for v in cx.enumerate_dual_vertices(ch)]
+            assert got == _per_subset_vertices(ch), (m, ch.points)
+            many += any(len(tight) > m + 1 for *_yz, tight in got)
+            pruned += sum(1 for depth, grown in calls if not grown and depth < m)
+            if m >= 2 and ch in dependent:
+                assert calls[:3] == [(0, True), (1, True), (2, False)]
+    assert many >= 5
+    assert pruned >= 100
+
+
 def test_convex_self_checks_raise_internal_error(monkeypatch):
     monkeypatch.setattr(cx, "roof_value", lambda ch, x: Q(10))
     with pytest.raises(InternalError):
@@ -280,7 +469,8 @@ def _cli(tmp_path, doc, argv):
 
 def test_vertex_budget_refuses_before_solving(tmp_path, monkeypatch):
     """C(118, 3) = 266,916 systems in dimension 2 exceed the budget: both
-    commands exit 3 without one elimination."""
+    commands exit 3 without one elimination, the canonical extension even
+    at a point inside the hull, where it would need no enumeration."""
     from math import comb
 
     assert comb(118, 3) > cx.MAX_VERTEX_SYSTEMS >= comb(117, 3)
@@ -288,7 +478,7 @@ def test_vertex_budget_refuses_before_solving(tmp_path, monkeypatch):
     def no_elimination(*_args):
         raise AssertionError("vertex enumeration solved a system")
 
-    monkeypatch.setattr(cx, "_eliminate", no_elimination)
+    monkeypatch.setattr(cx, "_absorb", no_elimination)
     points = [{"x": [str(i), str(i * i)], "value": "0"} for i in range(118)]
     doc = {"dim": 2, "points": points}
     for argv in (["vertices"], ["eval", "--class", "convex-tilde", "--at", '["0","0"]']):
