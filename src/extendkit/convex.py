@@ -227,7 +227,7 @@ def feasible_at_alpha(ch: ConvexPartialFunction, alpha) -> bool:
     scaled = ConvexPartialFunction(
         ch.m, tuple((vec, alpha * v) for vec, v in ch.points)
     )
-    for (vec, value), _ in zip(ch.points, scaled.points):
+    for vec, value in ch.points:
         roof = roof_value(scaled, vec)
         if roof is None:
             raise InternalError("internal error: a defined point left its own hull")
@@ -236,33 +236,22 @@ def feasible_at_alpha(ch: ConvexPartialFunction, alpha) -> bool:
     return True
 
 
-def _vertex_rows(ch: ConvexPartialFunction) -> list[list[int]]:
-    """The dual's rows (T_i, 1 | f_i), each scaled to integers once, after
-    the checks the vertices need, in this order: at most
-    MAX_VERTEX_SYSTEMS (m+1)-subsets (TooLarge), counted before any system
-    is solved, and a full-dimensional hull (DegenerateHull), without which
+def _require_full_dimension(ch: ConvexPartialFunction) -> None:
+    """DegenerateHull unless the hull is full-dimensional, without which
     the dual polyhedron has no vertex."""
-    m, n = ch.m, len(ch.points)
-    if comb(n, m + 1) > MAX_VERTEX_SYSTEMS:
-        raise TooLarge(
-            f"vertex enumeration would solve C({n}, {m + 1}) square systems; "
-            f"<= {MAX_VERTEX_SYSTEMS} only"
-        )
-    if affine_dimension(ch.vectors) < m:
+    if affine_dimension(ch.vectors) < ch.m:
         raise DegenerateHull(
             "the defined points span less than the ambient dimension; "
             "the dual polyhedron has no vertex (project to the affine hull)"
         )
-    return [_integer_row(list(vec) + [ONE, value]) for vec, value in ch.points]
 
 
-def enumerate_dual_vertices(
-    ch: ConvexPartialFunction, rows: Optional[list[list[int]]] = None
-) -> tuple[DualVertex, ...]:
+def enumerate_dual_vertices(ch: ConvexPartialFunction) -> tuple[DualVertex, ...]:
     """All vertices of Q = {(y, mu) : T_i . y + mu <= f_i}: solve every
     (m+1)-subset of constraints as equalities, keep nonsingular feasible
-    solutions, deduplicate exact coordinates. ``rows`` is _vertex_rows(ch)
-    when the caller has already run its checks.
+    solutions, deduplicate exact coordinates. Checked first, in this order:
+    at most MAX_VERTEX_SYSTEMS (m+1)-subsets (TooLarge), counted before any
+    system is solved, and a full-dimensional hull (DegenerateHull).
 
     The subsets are visited depth first over the combination tree, in
     lexicographic order: each prefix's system is built once by _absorb and
@@ -272,10 +261,16 @@ def enumerate_dual_vertices(
     their gcd, which makes (x, d) canonical; row i = a_i | b_i holds at
     x / d when a_i . x <= b_i * d. Rationals are formed only for the
     vertices that are kept."""
-    if rows is None:
-        rows = _vertex_rows(ch)
-    m, n = ch.m, len(rows)
+    m, n = ch.m, len(ch.points)
     k = m + 1
+    if comb(n, k) > MAX_VERTEX_SYSTEMS:
+        raise TooLarge(
+            f"vertex enumeration would solve C({n}, {k}) square systems; "
+            f"<= {MAX_VERTEX_SYSTEMS} only"
+        )
+    _require_full_dimension(ch)
+    # the rows (T_i, 1 | f_i), each scaled to integers once
+    rows = [_integer_row(list(vec) + [ONE, value]) for vec, value in ch.points]
     seen = set()
     kept = []
 
@@ -328,12 +323,13 @@ def _dot(row, x) -> int:
 def eval_tilde(ch: ConvexPartialFunction, x) -> Rational:
     """The canonical extension at x: the max over dual vertices of
     x . y + mu. Inside the hull that is the roof value, since the roof
-    LP's dual maximises x . y + mu over Q, which is pointed (the checks of
-    _vertex_rows make the hull full-dimensional) and so attains its
-    maximum at a vertex; only a point outside the hull enumerates."""
+    LP's dual maximises x . y + mu over Q, which is pointed when the hull
+    is full-dimensional (the one check made there) and so attains its
+    maximum at a vertex. Only a point outside the hull enumerates, under
+    the checks of enumerate_dual_vertices."""
     x = _check_dim(ch, x)
-    rows = _vertex_rows(ch)
     roof = roof_value(ch, x)
-    if roof is not None:
-        return roof
-    return max(v.value_at(x) for v in enumerate_dual_vertices(ch, rows))
+    if roof is None:
+        return max(v.value_at(x) for v in enumerate_dual_vertices(ch))
+    _require_full_dimension(ch)
+    return roof

@@ -12,6 +12,11 @@ module's square solves.
 Rationals are formed only when an assignment, an optimal value, a ray or a
 set of multipliers is read out.
 
+Variable j owns the columns terms[j], a tuple of (column, sign) pairs:
+x_j = lower_j + col when bounded below, x_j = col_p - col_n when free. Rows,
+phase-2 costs, points and rays all pass between variables and columns
+through that one map; slack and artificial columns follow.
+
 Farkas convention: a witness assigns one multiplier per *expanded* row
 (declared constraints, then lower-bound rows in variable order). An upper
 bound is written as a declared "<=" row. Rows are oriented "<=" for the
@@ -82,8 +87,7 @@ class ExactLP:
         """Constraints plus bound rows, in the canonical witness order."""
         nv = len(self.variables)
         rows = [(c.coeffs, c.relation, c.rhs) for c in self.constraints]
-        for j in range(nv):
-            lo = self.lower[j] if self.lower else None
+        for j, lo in enumerate(self.lower or ()):
             if lo is not None:
                 unit = tuple(ONE if k == j else ZERO for k in range(nv))
                 rows.append((unit, GE, lo))
@@ -234,6 +238,18 @@ class _Tableau:
         self.d = pivot(self.rows, r, c, self.d)
         self.basis[r - 1] = c
 
+    def price(self, cost):
+        """Row 0 for a phase's integer costs: d * cost minus each basic
+        column's cost times its row (-cost_B . rhs in the rhs column)."""
+        obj = [self.d * a for a in cost] + [0]
+        for row, col in zip(self.rows[1:], self.basis):
+            cb = cost[col]
+            if cb:
+                for j, v in enumerate(row):
+                    if v:
+                        obj[j] -= cb * v
+        self.rows[0] = obj
+
     def bland_min(self, eligible):
         """One phase of Bland's-rule simplex on a min objective in row 0.
 
@@ -244,12 +260,10 @@ class _Tableau:
         rhs = self.ncols
         while True:
             obj = rows[0]
-            enter = -1
-            for j in eligible:
-                if obj[j] < 0:
-                    enter = j
+            for enter in eligible:
+                if obj[enter] < 0:
                     break
-            if enter < 0:
+            else:
                 return "optimal"
             # ratio test: the least rhs/a over a > 0, compared as t*den vs
             # num*a, ties to the smaller basic column
@@ -284,19 +298,12 @@ def solve(lp: ExactLP):
     nv = len(lp.variables)
     lower = lp.lower if lp.lower is not None else (None,) * nv
 
-    # Column layout for original variable j:
-    #   shifted : x_j = lower_j + col  (col >= 0)
-    #   split   : x_j = col_p - col_n
-    col_of = []  # per variable: ("shift", col) | ("split", col_p, col_n)
+    # the column map terms[j], the (column, sign) pairs of variable j
+    terms = []
     ncols = 0
-    for j in range(nv):
-        if lower[j] is not None:
-            col_of.append(("shift", ncols))
-            ncols += 1
-        else:
-            col_of.append(("split", ncols, ncols + 1))
-            ncols += 2
-    nstruct = ncols
+    for lo in lower:
+        terms.append(((ncols, 1),) if lo is not None else ((ncols, 1), (ncols + 1, -1)))
+        ncols += len(terms[-1])
 
     # Express each row over columns, fold lower-bound shifts into the rhs,
     # scale it to integers by the lcm of its denominators, then normalize to
@@ -305,15 +312,15 @@ def solve(lp: ExactLP):
     norm = []  # (colcoeffs: dict of ints, rel, rhs: int, flip, scale)
     for con in lp.constraints:
         rel = con.relation
-        terms = []
+        nz = []
         b = con.rhs
         for j, a in enumerate(con.coeffs):
             if not a:
                 continue
-            terms.append((j, a))
+            nz.append((j, a))
             if lower[j]:
                 b -= a * lower[j]
-        s = denominator_lcm([a for _j, a in terms] + [b])
+        s = denominator_lcm([a for _j, a in nz] + [b])
         flip = 1
         b = scaled_int(b, s)
         if b < 0 or (b == 0 and rel == GE):
@@ -321,35 +328,33 @@ def solve(lp: ExactLP):
             b = -b
             rel = {LE: GE, GE: LE, EQ: EQ}[rel]
         cc = {}
-        for j, a in terms:
+        for j, a in nz:
             a = flip * scaled_int(a, s)
-            loc = col_of[j]
-            cc[loc[1]] = a
-            if loc[0] == "split":
-                cc[loc[2]] = -a
+            for col, sg in terms[j]:
+                cc[col] = sg * a
         norm.append((cc, rel, b, flip, s))
 
     nrows = len(norm)
     # slack/surplus columns, then artificial columns
     slack_col = [None] * nrows
     art_col = [None] * nrows
-    c = nstruct
-    for i, (cc, rel, b, flip, s) in enumerate(norm):
-        if rel in (LE, GE):
-            slack_col[i] = c
-            c += 1
-    for i, (cc, rel, b, flip, s) in enumerate(norm):
-        if rel in (EQ, GE):
-            art_col[i] = c
-            c += 1
-    ncols = c
+    for cols, rels in ((slack_col, (LE, GE)), (art_col, (EQ, GE))):
+        for i, (cc, rel, b, flip, s) in enumerate(norm):
+            if rel in rels:
+                cols[i] = ncols
+                ncols += 1
     art_set = {a for a in art_col if a is not None}
 
     # The slack and artificial of row i keep coefficients +-1, so they stand
     # for the row's scale s times the unscaled ones.
+    # Each row starts basic on its artificial, or on its slack when it has
+    # none (a "<=" row); that column carries +1 in the row only, so row 0
+    # shows the row's dual there. dual_read pairs it with o, which turns
+    # that dual into the orientation of the unflipped row.
     colscale = [1] * ncols
     rows = [[0] * (ncols + 1)]  # row 0 = objective row, filled per phase
     basis = []
+    dual_read = []
     for i, (cc, rel, b, flip, s) in enumerate(norm):
         row = [0] * (ncols + 1)
         for col, a in cc.items():
@@ -357,40 +362,24 @@ def solve(lp: ExactLP):
         if slack_col[i] is not None:
             row[slack_col[i]] = 1 if rel == LE else -1
             colscale[slack_col[i]] = s
-        if art_col[i] is not None:
-            row[art_col[i]] = 1
-            colscale[art_col[i]] = s
-            basis.append(art_col[i])
-        else:
-            basis.append(slack_col[i])
+        col = slack_col[i] if art_col[i] is None else art_col[i]
+        row[col] = 1
+        colscale[col] = s
+        basis.append(col)
+        dual_read.append((col, flip if lp.constraints[i].relation == GE else -flip))
         row[ncols] = b
         rows.append(row)
 
     tab = _Tableau(rows, ncols, basis, colscale)
-
-    # Where row 0 shows each solver row's dual: in its artificial column, or
-    # in its slack when it has none (a "<=" row); both carry +1 in the row.
-    # o turns that dual into the orientation of the unflipped row.
-    dual_read = []
-    for i, (cc, rel, b, flip, s) in enumerate(norm):
-        col = art_col[i] if art_col[i] is not None else slack_col[i]
-        dual_read.append((col, flip if lp.constraints[i].relation == GE else -flip))
-    lower_cols = [loc[1] for loc in col_of if loc[0] == "shift"]
+    lower_cols = [tj[0][0] for tj, lo in zip(terms, lower) if lo is not None]
 
     # ---- phase 1: minimize phase1_l times the sum of the unscaled
     # artificials, so that the artificial of a row with scale s costs
     # phase1_l // s and Bland's rule pivots as on the unscaled tableau
     if art_set:
         phase1_l = lcm(*(colscale[a] for a in art_set))
-        cost1 = [0] * ncols
-        obj = rows[0]
-        for i, a in enumerate(art_col):
-            if a is not None:
-                w = cost1[a] = phase1_l // colscale[a]
-                for j, v in enumerate(rows[i + 1]):
-                    if v:
-                        obj[j] -= w * v
-                obj[a] += w
+        cost1 = [phase1_l // colscale[j] if j in art_set else 0 for j in range(ncols)]
+        tab.price(cost1)
         status = tab.bland_min(range(ncols))
         if status != "optimal":
             raise InternalError("internal error: phase 1 cannot be unbounded")
@@ -413,23 +402,26 @@ def solve(lp: ExactLP):
                         break
                 # an all-zero row is redundant; its basic artificial stays 0
 
-    def read_assignment():
+    def read_out(c, f, base):
+        """The variables when each basic column stands at f * T[i][c] / d,
+        column c at 1 and every other column at 0: x_j is base_j plus its
+        columns' signed sum. The basic point is c = ncols (the rhs), f = 1;
+        the ray of entering column c has f = -colscale[c], since one unit
+        of its unscaled variable moves basic column i by that much."""
         d = tab.d
-        vals = [0] * ncols
-        for i in range(nrows):
-            vals[tab.basis[i]] = rows[i + 1][ncols]
+        vals = [0] * (ncols + 1)
+        vals[c] = d
+        for row, col in zip(rows[1:], tab.basis):
+            vals[col] = f * row[c]
         out = {}
-        for j, name in enumerate(lp.variables):
-            loc = col_of[j]
-            if loc[0] == "shift":
-                out[name] = lower[j] + Rational(vals[loc[1]], d)
-            else:
-                out[name] = Rational(vals[loc[1]] - vals[loc[2]], d)
+        for name, lo, tj in zip(lp.variables, base, terms):
+            v = Rational(sum(sg * vals[col] for col, sg in tj), d)
+            out[name] = lo + v if lo else v
         return out
 
     if lp.objective is None:
-        assignment = read_assignment()
-        _assert_satisfies(lp, _integer_rows(lp), assignment)
+        assignment = read_out(ncols, 1, lower)
+        _check_rows(lp, assignment)
         return Feasible(assignment)
 
     # ---- phase 2: row 0 from the cost vector scaled to integers by cost_l
@@ -442,50 +434,24 @@ def solve(lp: ExactLP):
     for j, a in enumerate(signed):
         if not a:
             continue
-        loc = col_of[j]
-        cost[loc[1]] = scaled_int(a, cost_l)
-        if loc[0] == "shift":
+        ia = scaled_int(a, cost_l)
+        for col, sg in terms[j]:
+            cost[col] = sg * ia
+        if lower[j]:
             const_term += a * lower[j]
-        else:
-            cost[loc[2]] = -cost[loc[1]]
-    d = tab.d
-    obj = [d * a for a in cost] + [0]
-    for i in range(nrows):
-        cb = cost[tab.basis[i]]
-        if cb:
-            for j, v in enumerate(rows[i + 1]):
-                if v:
-                    obj[j] -= cb * v
-    rows[0] = obj
+    tab.price(cost)
 
     eligible = [j for j in range(ncols) if j not in art_set]
     status = tab.bland_min(eligible)
-    d = tab.d
     if status != "optimal":
         _, enter = status
-        # one unit of the unscaled entering variable moves each basic
-        # variable by -T[i][enter] * colscale[enter] / d
-        step = tab.colscale[enter]
-        dirvec = [ZERO] * ncols
-        dirvec[enter] = ONE
-        for i in range(nrows):
-            a = rows[i + 1][enter]
-            if a:
-                dirvec[tab.basis[i]] = Rational(-a * step, d)
-        ray = {}
-        for j, name in enumerate(lp.variables):
-            loc = col_of[j]
-            if loc[0] == "shift":
-                ray[name] = dirvec[loc[1]]
-            else:
-                ray[name] = dirvec[loc[1]] - dirvec[loc[2]]
-        _assert_ray(lp, _integer_rows(lp), ray)
+        ray = read_out(enter, -tab.colscale[enter], (None,) * nv)
+        _check_rows(lp, ray, ray=True)
         return Unbounded(ray)
 
-    assignment = read_assignment()
-    irows = _integer_rows(lp)
-    _assert_satisfies(lp, irows, assignment)
-    value = sign * (Rational(-rows[0][ncols], cost_l * d) + const_term)
+    assignment = read_out(ncols, 1, lower)
+    irows = _check_rows(lp, assignment)
+    value = sign * (Rational(-rows[0][ncols], cost_l * tab.d) + const_term)
     dual = _read_dual(tab, cost, cost_l, dual_read, lower_cols)
     combined = _combine(lp, irows, dual)
     o = 1 if direction == "max" else -1  # the dual proves o*c.x <= o*value
@@ -519,33 +485,31 @@ def _read_dual(tab, cost, scale, dual_read, lower_cols):
     return tuple(rows + lower)
 
 
-def _holds(lhs, rel, rhs) -> bool:
-    return lhs <= rhs if rel == LE else lhs >= rhs if rel == GE else lhs == rhs
-
-
 def _dot(coeffs, vals):
     return sum((a * v for a, v in zip(coeffs, vals) if a), ZERO)
 
 
-def _assert_satisfies(lp, irows, assignment):
-    """Every expanded row holds at the assignment, compared on integers."""
-    vals = [assignment[name] for name in lp.variables]
+def _check_rows(lp, values, ray=False):
+    """The expanded rows from _integer_rows, once every one holds at the
+    point ``values``, compared on integers. A ray must improve the
+    objective and hold every row with its rhs taken as 0 (the row's
+    recession cone)."""
+    vals = [values[name] for name in lp.variables]
+    if ray:
+        coeffs, direction = lp.objective
+        gain = _dot(coeffs, vals)
+        if not ((gain < 0) if direction == "min" else (gain > 0)):
+            raise InternalError("internal error: ray does not improve the objective")
+    irows = _integer_rows(lp)
     scale = denominator_lcm(vals)
     x = [scaled_int(v, scale) for v in vals]
-    if not all(_holds(sum(a * x[j] for j, a in row), rel, b * scale)
-               for row, rel, b, _s in irows):
-        raise InternalError("internal error: simplex returned an infeasible point")
-
-
-def _assert_ray(lp, irows, ray):
-    """The ray improves the objective and lies in the recession cone of
-    every expanded row."""
-    vals = [ray[name] for name in lp.variables]
-    coeffs, direction = lp.objective
-    gain = _dot(coeffs, vals)
-    if not ((gain < 0) if direction == "min" else (gain > 0)):
-        raise InternalError("internal error: ray does not improve the objective")
-    scale = denominator_lcm(vals)
-    r = [scaled_int(v, scale) for v in vals]
-    if not all(_holds(sum(a * r[j] for j, a in row), rel, 0) for row, rel, _b, _s in irows):
-        raise InternalError("internal error: ray leaves the feasible region")
+    rhs_scale = 0 if ray else scale
+    for row, rel, b, _s in irows:
+        lhs = sum(a * x[j] for j, a in row)
+        rhs = b * rhs_scale
+        if not (lhs <= rhs if rel == LE else lhs >= rhs if rel == GE else lhs == rhs):
+            raise InternalError(
+                "internal error: ray leaves the feasible region" if ray
+                else "internal error: simplex returned an infeasible point"
+            )
+    return irows

@@ -210,6 +210,8 @@ def test_tilde_inside_the_hull_is_the_roof_without_enumeration(tmp_path, monkeyp
     with pytest.raises(AssertionError):
         cx.eval_tilde(h, (Q(3), Q(0)))
 
+    # outside the hull the refusal comes from the enumeration's own check
+    monkeypatch.undo()
     line = [{"x": [str(i), str(i)], "value": str(i * i)} for i in range(3)]
     doc = {"dim": 2, "points": line}
     for at in ('["1","1"]', '["1","0"]', '["5","5"]'):
@@ -468,9 +470,10 @@ def _cli(tmp_path, doc, argv):
 
 
 def test_vertex_budget_refuses_before_solving(tmp_path, monkeypatch):
-    """C(118, 3) = 266,916 systems in dimension 2 exceed the budget: both
-    commands exit 3 without one elimination, the canonical extension even
-    at a point inside the hull, where it would need no enumeration."""
+    """C(118, 3) = 266,916 systems in dimension 2 exceed the budget:
+    vertices and the canonical extension outside the hull exit 3 without
+    one elimination. Inside the hull the canonical extension is one roof
+    LP, so it answers there with the roof's value."""
     from math import comb
 
     assert comb(118, 3) > cx.MAX_VERTEX_SYSTEMS >= comb(117, 3)
@@ -478,13 +481,21 @@ def test_vertex_budget_refuses_before_solving(tmp_path, monkeypatch):
     def no_elimination(*_args):
         raise AssertionError("vertex enumeration solved a system")
 
+    absorb = cx._absorb
     monkeypatch.setattr(cx, "_absorb", no_elimination)
-    points = [{"x": [str(i), str(i * i)], "value": "0"} for i in range(118)]
+    points = [{"x": [str(i), str(i * i)], "value": str(i % 7)} for i in range(118)]
     doc = {"dim": 2, "points": points}
-    for argv in (["vertices"], ["eval", "--class", "convex-tilde", "--at", '["0","0"]']):
+    for argv in (["vertices"], ["eval", "--class", "convex-tilde", "--at", '["0","-1"]']):
         code, out, err = _cli(tmp_path, doc, argv)
         assert (code, out) == (3, ""), err
         assert "C(118, 3) square systems" in err
+
+    monkeypatch.setattr(cx, "_absorb", absorb)
+    for at in ('["0","0"]', '["1","5"]'):
+        roof = _cli(tmp_path, doc, ["eval", "--class", "convex-roof", "--at", at])
+        tilde = _cli(tmp_path, doc, ["eval", "--class", "convex-tilde", "--at", at])
+        assert roof[0] == 0 and json.loads(roof[1])["status"] == "ok", roof
+        assert tilde[:2] == roof[:2], tilde
 
 
 def test_high_dimension_within_the_budget_is_answered(tmp_path):

@@ -310,3 +310,76 @@ def test_self_checks_raise_under_python_O():
     out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "internal error: unverifiable Farkas witness"
+
+
+def _tighten_first_row(monkeypatch):
+    """Make solve() check its answers against expanded rows whose first
+    row's rhs is one less than the LP's, as a wrong read-out would."""
+    rows_of = lp._integer_rows
+
+    def tightened(prob):
+        (row, rel, b, s), *rest = rows_of(prob)
+        return [(row, rel, b - 1, s), *rest]
+
+    monkeypatch.setattr(lp, "_integer_rows", tightened)
+
+
+def _claim_unbounded(monkeypatch):
+    """Make phase 2 stop at once and call the first column unbounded, as a
+    wrong ratio test would. The LPs below have no artificial column, so
+    phase 2 is the only phase."""
+    monkeypatch.setattr(lp._Tableau, "bland_min", lambda tab, eligible: ("unbounded", 0))
+
+
+def test_infeasible_point_raises(monkeypatch):
+    """solve() checks an optimal point against every expanded row."""
+    from extendkit.errors import InternalError
+
+    prob = make(["x"], [((1,), "<=", 3)], ((1,), "max"), lower=(Q(0),))
+    assert lp.solve(prob).assignment == {"x": 3}
+    _tighten_first_row(monkeypatch)
+    with pytest.raises(InternalError, match="simplex returned an infeasible point"):
+        lp.solve(prob)
+
+
+def test_ray_leaving_the_region_raises(monkeypatch):
+    """x = 3 bounds max x; the ray x + t is claimed and refused."""
+    from extendkit.errors import InternalError
+
+    prob = make(["x"], [((1,), "<=", 3)], ((1,), "max"), lower=(Q(0),))
+    _claim_unbounded(monkeypatch)
+    with pytest.raises(InternalError, match="ray leaves the feasible region"):
+        lp.solve(prob)
+
+
+def test_ray_not_improving_raises(monkeypatch):
+    """The ray x + t stays feasible but raises min x; it is refused."""
+    from extendkit.errors import InternalError
+
+    prob = make(["x", "y"], [((0, 1), "<=", 1)], ((1, 0), "min"), lower=(Q(0), Q(0)))
+    assert lp.solve(prob).value == 0
+    _claim_unbounded(monkeypatch)
+    with pytest.raises(InternalError, match="ray does not improve the objective"):
+        lp.solve(prob)
+
+
+def test_point_check_raises_under_python_O():
+    """The row check is a raise, so python -O keeps it."""
+    code = (
+        "from fractions import Fraction as Q\n"
+        "from extendkit import lp\n"
+        "from extendkit.errors import InternalError\n"
+        "rows_of = lp._integer_rows\n"
+        "def tightened(prob):\n"
+        "    (row, rel, b, s), *rest = rows_of(prob)\n"
+        "    return [(row, rel, b - 1, s), *rest]\n"
+        "lp._integer_rows = tightened\n"
+        "prob = lp.ExactLP(('x',), (lp.Constraint((Q(1),), '=', Q(2)),))\n"
+        "try:\n"
+        "    lp.solve(prob)\n"
+        "except InternalError as exc:\n"
+        "    print(exc)\n"
+    )
+    out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "internal error: simplex returned an infeasible point"
