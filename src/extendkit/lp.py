@@ -12,10 +12,10 @@ module's square solves.
 Rationals are formed only when an assignment, an optimal value, a ray or a
 set of multipliers is read out.
 
-Variable j owns the columns terms[j], a tuple of (column, sign) pairs:
-x_j = lower_j + col when bounded below, x_j = col_p - col_n when free. Rows,
-phase-2 costs, points and rays all pass between variables and columns
-through that one map; slack and artificial columns follow.
+Column j is variable j: x_j = lower_j + col_j when bounded below, and
+x_j = col_j when free. A free column enters with either sign, and once basic
+it never leaves, so its basic value may be negative. Slack and artificial
+columns follow the variables.
 
 Farkas convention: a witness assigns one multiplier per *expanded* row
 (declared constraints, then lower-bound rows in variable order). An upper
@@ -250,10 +250,12 @@ class _Tableau:
                         obj[j] -= cb * v
         self.rows[0] = obj
 
-    def bland_min(self, eligible):
+    def bland_min(self, eligible, free):
         """One phase of Bland's-rule simplex on a min objective in row 0.
+        A column in ``free`` has no lower bound: it enters in the direction
+        s = +-1 that lowers the objective, and its row never leaves.
 
-        Returns "optimal" or ("unbounded", entering_col).
+        Returns "optimal" or ("unbounded", entering_col, s).
         """
         rows = self.rows
         basis = self.basis
@@ -261,24 +263,26 @@ class _Tableau:
         while True:
             obj = rows[0]
             for enter in eligible:
-                if obj[enter] < 0:
+                if obj[enter] < 0 or (obj[enter] and enter in free):
                     break
             else:
                 return "optimal"
-            # ratio test: the least rhs/a over a > 0, compared as t*den vs
-            # num*a, ties to the smaller basic column
+            s = 1 if obj[enter] < 0 else -1
+            # ratio test: the least rhs/a over a = s*T[r][enter] > 0 in the
+            # rows of bounded basic columns, compared as t*den vs num*a,
+            # ties to the smaller basic column
             leave = -1
             num = den = 0
             for r in range(1, len(rows)):
-                a = rows[r][enter]
-                if a > 0:
+                a = s * rows[r][enter]
+                if a > 0 and basis[r - 1] not in free:
                     t = rows[r][rhs]
                     if leave < 0 or t * den < num * a or (
                         t * den == num * a and basis[r - 1] < basis[leave - 1]
                     ):
                         num, den, leave = t, a, r
             if leave < 0:
-                return ("unbounded", enter)
+                return ("unbounded", enter, s)
             if DEBUG:
                 ratio = Rational(num, den * self.colscale[enter])
                 print(
@@ -297,19 +301,14 @@ def solve(lp: ExactLP):
     """
     nv = len(lp.variables)
     lower = lp.lower if lp.lower is not None else (None,) * nv
+    free = {j for j, lo in enumerate(lower) if lo is None}
+    ncols = nv
 
-    # the column map terms[j], the (column, sign) pairs of variable j
-    terms = []
-    ncols = 0
-    for lo in lower:
-        terms.append(((ncols, 1),) if lo is not None else ((ncols, 1), (ncols + 1, -1)))
-        ncols += len(terms[-1])
-
-    # Express each row over columns, fold lower-bound shifts into the rhs,
-    # scale it to integers by the lcm of its denominators, then normalize to
-    # nonnegative rhs (tracking the sign flip). A homogeneous ">=" row is
-    # flipped too, so that it starts basic on its slack.
-    norm = []  # (colcoeffs: dict of ints, rel, rhs: int, flip, scale)
+    # Fold each row's lower-bound shifts into its rhs, scale the row to
+    # integers by the lcm of its denominators, then normalize to nonnegative
+    # rhs (tracking the sign flip). A homogeneous ">=" row is flipped too,
+    # so that it starts basic on its slack.
+    norm = []  # (sparse [(col, int)], rel, rhs: int, flip, scale)
     for con in lp.constraints:
         rel = con.relation
         nz = []
@@ -327,11 +326,7 @@ def solve(lp: ExactLP):
             flip = -1
             b = -b
             rel = {LE: GE, GE: LE, EQ: EQ}[rel]
-        cc = {}
-        for j, a in nz:
-            a = flip * scaled_int(a, s)
-            for col, sg in terms[j]:
-                cc[col] = sg * a
+        cc = [(j, flip * scaled_int(a, s)) for j, a in nz]
         norm.append((cc, rel, b, flip, s))
 
     nrows = len(norm)
@@ -357,7 +352,7 @@ def solve(lp: ExactLP):
     dual_read = []
     for i, (cc, rel, b, flip, s) in enumerate(norm):
         row = [0] * (ncols + 1)
-        for col, a in cc.items():
+        for col, a in cc:
             row[col] = a
         if slack_col[i] is not None:
             row[slack_col[i]] = 1 if rel == LE else -1
@@ -371,7 +366,7 @@ def solve(lp: ExactLP):
         rows.append(row)
 
     tab = _Tableau(rows, ncols, basis, colscale)
-    lower_cols = [tj[0][0] for tj, lo in zip(terms, lower) if lo is not None]
+    lower_cols = [j for j, lo in enumerate(lower) if lo is not None]
 
     # ---- phase 1: minimize phase1_l times the sum of the unscaled
     # artificials, so that the artificial of a row with scale s costs
@@ -380,7 +375,7 @@ def solve(lp: ExactLP):
         phase1_l = lcm(*(colscale[a] for a in art_set))
         cost1 = [phase1_l // colscale[j] if j in art_set else 0 for j in range(ncols)]
         tab.price(cost1)
-        status = tab.bland_min(range(ncols))
+        status = tab.bland_min(range(ncols), free)
         if status != "optimal":
             raise InternalError("internal error: phase 1 cannot be unbounded")
         if rows[0][ncols] < 0:  # a positive sum of artificials remains
@@ -404,18 +399,18 @@ def solve(lp: ExactLP):
 
     def read_out(c, f, base):
         """The variables when each basic column stands at f * T[i][c] / d,
-        column c at 1 and every other column at 0: x_j is base_j plus its
-        columns' signed sum. The basic point is c = ncols (the rhs), f = 1;
-        the ray of entering column c has f = -colscale[c], since one unit
-        of its unscaled variable moves basic column i by that much."""
+        column c at 1 and every other column at 0: x_j is base_j plus
+        column j. The basic point is c = ncols (the rhs), f = 1; the ray of
+        entering column c has f = -colscale[c], since one unit of its
+        unscaled variable moves basic column i by that much."""
         d = tab.d
         vals = [0] * (ncols + 1)
         vals[c] = d
         for row, col in zip(rows[1:], tab.basis):
             vals[col] = f * row[c]
         out = {}
-        for name, lo, tj in zip(lp.variables, base, terms):
-            v = Rational(sum(sg * vals[col] for col, sg in tj), d)
+        for name, lo, v in zip(lp.variables, base, vals):
+            v = Rational(v, d)
             out[name] = lo + v if lo else v
         return out
 
@@ -434,18 +429,18 @@ def solve(lp: ExactLP):
     for j, a in enumerate(signed):
         if not a:
             continue
-        ia = scaled_int(a, cost_l)
-        for col, sg in terms[j]:
-            cost[col] = sg * ia
+        cost[j] = scaled_int(a, cost_l)
         if lower[j]:
             const_term += a * lower[j]
     tab.price(cost)
 
     eligible = [j for j in range(ncols) if j not in art_set]
-    status = tab.bland_min(eligible)
+    status = tab.bland_min(eligible, free)
     if status != "optimal":
-        _, enter = status
+        _, enter, s = status
         ray = read_out(enter, -tab.colscale[enter], (None,) * nv)
+        if s < 0:  # a free column entering downwards
+            ray = {name: -v for name, v in ray.items()}
         _check_rows(lp, ray, ray=True)
         return Unbounded(ray)
 

@@ -1,7 +1,7 @@
 """Bounded fuzzing of the input contract: whatever the document or argv,
 ``cli.main`` exits 0, 1, 2 or 3 and prints no traceback.
 
-Every command but ``oracle`` is fuzzed. Every call runs in this process,
+Every command is fuzzed. Every call runs in this process,
 and none starts a process pool (``test`` runs with ``--jobs 1``). Sizes
 are bounded (m <= 6 for set functions, dimension <= 3 with at most 6
 convex points, m <= 4 for tester tables, small ``gen`` parameters, plus
@@ -19,7 +19,7 @@ from hypothesis import HealthCheck, event, given, settings, strategies as st
 from extendkit import cli
 from extendkit.cli import MAX_GEN_N
 from extendkit.ground import MAX_DENSE_M, to_jsonable
-from extendkit.oracle import random_valid_square_certificate
+from extendkit.oracle import CLASSES, _MAX_M, random_valid_square_certificate
 from extendkit.submodular import MAX_REWRITE_SIZE
 
 FUZZ = settings(
@@ -119,6 +119,21 @@ def test_set_function_commands_keep_the_exit_contract(
 ):
     path = write(tmp_path_factory, "doc.json", doc, raw)
     assert_contract(*run_main([command, "--class", klass, "--input", path, *extra]))
+
+
+@FUZZ
+@given(
+    # m one past the class's cap reaches the exit-3 refusal; the submodular
+    # LP has only free variables
+    case=st.sampled_from(CLASSES).flatmap(
+        lambda k: st.tuples(st.just(k), documents | well_formed(_MAX_M[k] + 1))
+    ),
+    raw=raw_text,
+)
+def test_oracle_keeps_the_exit_contract(tmp_path_factory, case, raw):
+    klass, doc = case
+    path = write(tmp_path_factory, "doc.json", doc, raw)
+    assert_contract(*run_main(["oracle", "--class", klass, "--input", path]))
 
 
 small = st.integers(-2, 8).map(str)

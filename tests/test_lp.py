@@ -135,6 +135,67 @@ def test_random_sweep_witnesses_and_optimality():
     assert n_inf >= 100  # the sweep genuinely exercises the witness path
 
 
+def _split_free(prob):
+    """The same LP with each free variable x written as x_p - x_n over two
+    variables with lower bound 0: the split-column formulation."""
+    names, lower, cols = [], [], []
+    for name, lo in zip(prob.variables, prob.lower or (None,) * len(prob.variables)):
+        if lo is None:
+            names += [name + "+", name + "-"]
+            lower += [Q(0), Q(0)]
+            cols.append((1, -1))
+        else:
+            names.append(name)
+            lower.append(lo)
+            cols.append((1,))
+
+    def widen(coeffs):
+        return tuple(sg * a for a, signs in zip(coeffs, cols) for sg in signs)
+
+    cons = tuple(lp.Constraint(widen(c.coeffs), c.relation, c.rhs) for c in prob.constraints)
+    objective = None
+    if prob.objective is not None:
+        objective = (widen(prob.objective[0]), prob.objective[1])
+    return lp.ExactLP(tuple(names), cons, objective, tuple(lower))
+
+
+def test_random_sweep_matches_split_free_variables():
+    """On the 1000 systems of the sweep above, solving with each free
+    variable split into two nonnegative ones gives the same outcome type
+    and the same optimal value."""
+    rng = random.Random(31337)
+    n_free = 0
+    for _ in range(1000):
+        prob = _random_lp(rng)
+        split = _split_free(prob)
+        n_free += len(split.variables) > len(prob.variables)
+        out, ref = lp.solve(prob), lp.solve(split)
+        assert type(out) is type(ref)
+        if isinstance(out, lp.Optimal):
+            assert out.value == ref.value
+    assert n_free >= 500
+
+
+def test_free_variable_bounded_below_by_a_row():
+    out = lp.solve(make(["x"], [((1,), ">=", -3)], ((1,), "min")))
+    assert isinstance(out, lp.Optimal)
+    assert out.value == -3 and out.assignment["x"] == -3
+
+
+def test_free_variable_unbounded_downwards():
+    prob = make(["x"], [((1,), "<=", 5)], ((1,), "min"))
+    out = lp.solve(prob)
+    assert isinstance(out, lp.Unbounded)
+    assert out.ray["x"] < 0
+
+
+def test_free_variables_contradictory_equalities():
+    prob = make(["x", "y"], [((1, 1), "=", 1), ((1, 1), "=", 2)])
+    out = lp.solve(prob)
+    assert isinstance(out, lp.Infeasible)
+    assert lp.verify_farkas(prob, out.witness)
+
+
 def test_fractional_coefficients():
     # min 3x + 2y s.t. x/2 + y/3 >= 1, x,y >= 0
     prob = make(
@@ -328,7 +389,7 @@ def _claim_unbounded(monkeypatch):
     """Make phase 2 stop at once and call the first column unbounded, as a
     wrong ratio test would. The LPs below have no artificial column, so
     phase 2 is the only phase."""
-    monkeypatch.setattr(lp._Tableau, "bland_min", lambda tab, eligible: ("unbounded", 0))
+    monkeypatch.setattr(lp._Tableau, "bland_min", lambda tab, eligible, free: ("unbounded", 0, 1))
 
 
 def test_infeasible_point_raises(monkeypatch):

@@ -12,7 +12,9 @@ in order, writing each ``save_as`` file as the benchmark does. One line per
 workload and seed gives the call count, the sha256 of every call's (key,
 exit code, stdout), and the sha256 of every call's (key, exit code, stderr)
 from a second pass with ``--debug-lp`` added wherever the command accepts
-it, so the second column changes exactly when some simplex pivot does.
+it, so the second column changes exactly when some simplex pivot does. The
+last column counts the ``[lp] pivot`` lines of that pass, so a change that
+alters pivots shows by how many.
 
 Two trees that print the same lines behave the same on the benchmark.
 Paths in argv are relative to the temporary directory, so the digests do
@@ -44,10 +46,12 @@ def debug_commands(cli) -> set[str]:
     return {name for name, sp in sub.choices.items() if "--debug-lp" in sp._option_string_actions}
 
 
-def run_pass(cli, calls, debug: set[str] | None) -> tuple[str, int]:
-    """(sha256 over the calls, call count). With ``debug``, --debug-lp is
-    added to those commands and stderr is digested instead of stdout."""
+def run_pass(cli, calls, debug: set[str] | None) -> tuple[str, int, int]:
+    """(sha256 over the calls, call count, pivot lines). With ``debug``,
+    --debug-lp is added to those commands and stderr is digested instead of
+    stdout."""
     h = hashlib.sha256()
+    pivots = 0
     for call in calls:
         argv = list(call.argv)
         if debug is not None and argv[0] in debug:
@@ -62,10 +66,11 @@ def run_pass(cli, calls, debug: set[str] | None) -> tuple[str, int]:
             with open(call.save_as, "w", encoding="utf-8") as fh:
                 fh.write(out.getvalue())
         text = out.getvalue() if debug is None else err.getvalue()
+        pivots += text.count("[lp] pivot ")
         for part in (call.key, str(code), text):
             h.update(part.encode())
             h.update(b"\0")
-    return h.hexdigest(), len(calls)
+    return h.hexdigest(), len(calls), pivots
 
 
 def main(argv=None) -> int:
@@ -91,12 +96,14 @@ def main(argv=None) -> int:
                     for path, text in wl.files.items():
                         with open(path, "w", encoding="utf-8") as fh:
                             fh.write(text)
-                    stdout, n = run_pass(cli, wl.calls, None)
-                    stderr, _n = run_pass(cli, wl.calls, debug)
+                    stdout, n, _p = run_pass(cli, wl.calls, None)
+                    stderr, _n, pivots = run_pass(cli, wl.calls, debug)
                 finally:
                     os.chdir(home)
             total += n
-            print(f"{name} seed={seed} calls={n} stdout={stdout} debug-lp={stderr}")
+            print(
+                f"{name} seed={seed} calls={n} stdout={stdout} debug-lp={stderr} pivots={pivots}"
+            )
     print(f"total calls={total}")
     return 0
 
