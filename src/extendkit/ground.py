@@ -6,7 +6,8 @@ positive denominator, exact field arithmetic.
 The exact kernels (the simplex, the cover DPs, dual-vertex enumeration)
 do not add rationals in their inner loops: they scale their inputs once to
 integers over a common denominator with denominator_lcm() and scaled_int()
-(a partial set function keeps its scaled values, PartialSetFunction.int_values),
+(a partial set function keeps its scaled values, PartialSetFunction.int_values;
+a tester reads each drawn set's values as ints, FunctionOracle.read_scaled),
 run on Python ints, and form rationals only when results are read out.
 Scaling by a positive integer keeps every comparison, so tie-breaks and
 outputs are the same as in rational arithmetic.

@@ -6,8 +6,10 @@ modules; that independence is the point.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from itertools import combinations
+from math import lcm
 
 from . import lp
 from .errors import InfeasibleParameters, InternalError, MalformedDocument, TooLarge
@@ -38,32 +40,43 @@ _MAX_M = {
 
 
 class TableValues:
-    """A full table's values, indexed by bitmask: held as int pairs
-    (numerator, denominator > 0), each made a Rational the first time it
-    is read and kept. Testers read a few thousand of up to 2^20 entries."""
+    """A full table's values, indexed by bitmask: held as their checked
+    literals ("p" or "p/q"). scaled() reads a set of entries as ints over a
+    common denominator; an entry read by index is made a Rational the first
+    time and kept. Testers read a few thousand of up to 2^20 entries."""
 
-    __slots__ = ("_pairs", "_cache")
+    __slots__ = ("_literals", "_cache", "_negative")
 
-    def __init__(self, pairs: list, cache: list | None = None):
-        self._pairs = pairs
-        self._cache = [None] * len(pairs) if cache is None else cache
+    def __init__(self, literals: list, negative: bool, cache: list | None = None):
+        self._literals = literals
+        self._negative = negative
+        self._cache = [None] * len(literals) if cache is None else cache
 
     @classmethod
     def of(cls, values) -> "TableValues":
         cache = [Rational(v) for v in values]
-        return cls([(v.numerator, v.denominator) for v in cache], cache)
+        return cls([str(v) for v in cache], any(v < 0 for v in cache), cache)
 
     def __len__(self) -> int:
-        return len(self._pairs)
+        return len(self._literals)
+
+    def scaled(self, masks) -> tuple[list[int], int]:
+        """The entries at ``masks`` as ints over the lcm of their
+        denominators, in order: (ints, scale). No Rational is built."""
+        parts = [self._literals[s].partition("/") for s in masks]
+        dens = [int(den) if den else 1 for _num, _slash, den in parts]
+        scale = lcm(*set(dens))
+        return [int(num) * (scale // q) for (num, _s, _d), q in zip(parts, dens)], scale
 
     def __getitem__(self, mask: int) -> Rational:
         value = self._cache[mask]
         if value is None:
-            value = self._cache[mask] = Rational(*self._pairs[mask])
+            num, _slash, den = self._literals[mask].partition("/")
+            value = self._cache[mask] = Rational(int(num), int(den) if den else 1)
         return value
 
     def __iter__(self):
-        return map(self.__getitem__, range(len(self._pairs)))
+        return map(self.__getitem__, range(len(self._literals)))
 
     def __eq__(self, other):
         if not isinstance(other, TableValues):
@@ -77,7 +90,7 @@ class TableValues:
         return f"TableValues({list(self)!r})"
 
     def has_negative(self) -> bool:
-        return any(p < 0 for p, _q in self._pairs)
+        return self._negative
 
 
 @dataclass(frozen=True)
@@ -102,10 +115,21 @@ class FullTable:
         return {"m": self.m, "values": [format_rational(v) for v in self.values]}
 
 
+# A line of the newline-joined literals that rational_pair() would refuse:
+# after each "\n", anything but a sign, ASCII digits and an optional "/"
+# with a nonzero ASCII-digit denominator, running to the next "\n" or the
+# end. A search keeps constant state, where a match of one repeated group
+# over the whole text would keep state per entry.
+_MALFORMED = re.compile(r"\n(?![+-]?[0-9]+(?:/0*[1-9][0-9]*)?(?![^\n]))")
+# a checked literal below zero: a minus sign and a nonzero numerator
+_NEGATIVE = re.compile(r"\n-0*[1-9]")
+
+
 def parse_full_table(data) -> FullTable:
-    """Parse an oracle table in one pass over its literals, which checks
-    every one (a malformed entry anywhere raises MalformedRational) and
-    builds no Rational."""
+    """Parse an oracle table, checking every literal in one regex scan of
+    the newline-joined literals and building no Rational. When the scan
+    finds a malformed literal, or a value is not a string, each entry goes
+    through rational_pair(), which raises on the first bad one."""
     doc = json_document(data)
     if not isinstance(doc, dict) or "m" not in doc or "values" not in doc:
         raise MalformedDocument('oracle table needs "m" and "values"')
@@ -114,7 +138,17 @@ def parse_full_table(data) -> FullTable:
         raise MalformedDocument(f'"m" must be a nonnegative integer, got {m!r}')
     if not isinstance(values, list):
         raise MalformedDocument(f'"values" must be a list, got {type(values).__name__}')
-    return FullTable(m, TableValues(list(map(rational_pair, values))))
+    try:
+        text = "\n" + "\n".join(values)
+    except TypeError:  # a value that is not a string
+        text = ""
+    # a literal holding "\n" would pass the scan as two lines
+    if text.count("\n") != len(values) or _MALFORMED.search(text):
+        pairs = list(map(rational_pair, values))
+        negative = any(p < 0 for p, _q in pairs)
+    else:
+        negative = "\n-" in text and _NEGATIVE.search(text) is not None
+    return FullTable(m, TableValues(list(values), negative))
 
 
 # ---------------------------------------------------------------------------

@@ -20,10 +20,8 @@ from .errors import EpsilonOutOfRange, InternalError, TooLarge
 from .ground import (
     PartialSetFunction,
     Rational,
-    denominator_lcm,
     elements,
     popcount,
-    scaled_int,
     submasks,
     to_jsonable,
 )
@@ -41,21 +39,37 @@ MAX_DRAWS = 1 << 16
 
 class FunctionOracle:
     """Oracle access to f: 2^[m] -> Q_(>=0) with a monotone query counter
-    (one increment per evaluate call)."""
+    (one increment per set that evaluate or read_scaled reads)."""
 
     def __init__(self, m: int, fn: Callable[[int], Rational]):
         self.m = m
         self._fn = fn
+        self._scaled = self._scaled_rationals
         self.query_count = 0
 
     @classmethod
     def from_table(cls, table) -> "FunctionOracle":
-        """Wrap a FullTable (anything with .m and mask-indexable .values)."""
-        return cls(table.m, table.values.__getitem__)
+        """Wrap a FullTable; read_scaled takes the int pairs straight from
+        the table's literals."""
+        oracle = cls(table.m, table.values.__getitem__)
+        oracle._scaled = table.values.scaled
+        return oracle
+
+    def _scaled_rationals(self, masks) -> tuple[list[int], int]:
+        values = list(map(self._fn, masks))
+        scale = math.lcm(*{v.denominator for v in values})
+        return [v.numerator * (scale // v.denominator) for v in values], scale
 
     def evaluate(self, mask: int) -> Rational:
         self.query_count += 1
         return self._fn(mask)
+
+    def read_scaled(self, masks) -> tuple[list[int], int]:
+        """The values at the distinct ``masks`` as ints over the lcm of their
+        denominators, in order: (ints, scale), each value being int / scale.
+        One query per set."""
+        self.query_count += len(masks)
+        return self._scaled(masks)
 
     def restrict(self, masks) -> PartialSetFunction:
         """The oracle's values at ``masks``, as a partial function."""
@@ -91,18 +105,29 @@ def layer_bounds(m: int, epsilon, variant: str) -> tuple[int, int, float]:
 
 def sample_M_lambda(m: int, epsilon, variant: str, rng: random.Random) -> int:
     """Uniform draw from M_lambda = sets with kmin <= |S| <= kmax."""
+    return layer_sampler(m, epsilon, variant)(rng)
+
+
+def layer_sampler(m: int, epsilon, variant: str) -> Callable[[random.Random], int]:
+    """sample_M_lambda as a function of the rng, with the layers and their
+    weights computed once: a run makes up to 2^16 draws."""
     kmin, kmax, _ = layer_bounds(m, epsilon, variant)
-    weights = [math.comb(m, k) for k in range(kmin, kmax + 1)]
-    total = sum(weights)
-    r = rng.randrange(total)
-    for k, w in zip(range(kmin, kmax + 1), weights):
-        if r < w:
-            mask = 0
-            for e in rng.sample(range(m), k):
-                mask |= 1 << e
-            return mask
-        r -= w
-    raise InternalError("internal error: the layer draw fell past the last layer")
+    layers = [(k, math.comb(m, k)) for k in range(kmin, kmax + 1)]
+    total = sum(w for _k, w in layers)
+    ground = range(m)
+
+    def draw(rng: random.Random) -> int:
+        r = rng.randrange(total)
+        for k, w in layers:
+            if r < w:
+                mask = 0
+                for e in rng.sample(ground, k):
+                    mask |= 1 << e
+                return mask
+            r -= w
+        raise InternalError("internal error: the layer draw fell past the last layer")
+
+    return draw
 
 
 def query_bound(m: int, epsilon, variant: str) -> float:
@@ -181,12 +206,15 @@ class TesterReport:
 # exact per-target checks
 
 
-def min_union_cover(values: dict[int, Rational], target: int, available):
+def min_union_cover(values: dict, target: int, available):
     """Minimum-cost family of available subsets of ``target`` whose union
     is exactly ``target``: (cost, cover) or None.
 
     Superset-minimization first (covering already-covered elements is
-    free), then a cover DP over the 3^|T| (footprint, remainder) pairs.
+    free), then a cover DP over the 3^|T| (footprint, remainder) pairs. It
+    runs on the values as given, with no rescaling: the testers pass ints
+    over a common denominator, on which the cost is that many times the
+    rational one and the cover is the same.
     """
     if target == 0:
         # families have r >= 1 sets and every set is a subset of the
@@ -194,17 +222,22 @@ def min_union_cover(values: dict[int, Rational], target: int, available):
         return (values[0], (0,)) if 0 in available else None
     t = popcount(target)
     full = (1 << t) - 1
-    # psi[p]: the cheapest available set whose footprint is a superset of p,
-    # on the values scaled to integers by their common denominator;
+    # psi[p]: the cheapest available set whose footprint is a superset of p;
     # submasks() ascends, so the p-th subset of target packs to p
     subs = [
         (p, sub) for p, sub in enumerate(submasks(target)) if p and sub in available
     ]
-    scale = denominator_lcm(values[sub] for _p, sub in subs)
-    psi: list = [None] * (full + 1)
+    # A footprint no available set holds costs ``none``: above twice the
+    # sum of |psi| over all 2^t footprints, each at most the largest |value|.
+    # A partition of the target into held footprints costs at most that sum
+    # and one using an unheld footprint at least ``none`` minus it, so the
+    # latter never ties or beats the former.
+    held = [values[sub] for _p, sub in subs]
+    none = max(map(abs, held), default=0) * (2 << t) + 1
+    psi: list = [none] * (full + 1)
     arg: list = [None] * (full + 1)
-    for p, sub in subs:
-        psi[p] = scaled_int(values[sub], scale)
+    for (p, sub), v in zip(subs, held):
+        psi[p] = v
         arg[p] = sub
     for i in range(t):
         bit = 1 << i
@@ -212,47 +245,44 @@ def min_union_cover(values: dict[int, Rational], target: int, available):
             if p & bit:
                 continue
             q = p | bit
-            if psi[q] is not None and (psi[p] is None or psi[q] < psi[p]):
+            if psi[q] < psi[p]:
                 psi[p] = psi[q]
                 arg[p] = arg[q]
 
-    dp: list = [None] * (full + 1)
-    par: list = [None] * (full + 1)
-    dp[0] = 0
+    dp: list = [0] * (full + 1)
+    par: list = [0] * (full + 1)
     for mask in range(1, full + 1):
         # the footprints holding the lowest element of mask, in descending
-        # order: low | every submask of the rest
+        # order: low | every submask of the rest, from mask itself down
         low = mask & -mask
         rest = mask ^ low
-        best = None
-        best_p = None
+        best = psi[mask]
+        best_p = mask
         sub = rest
-        while True:
-            p = sub | low
-            if psi[p] is not None and dp[rest ^ sub] is not None:
-                cand = dp[rest ^ sub] + psi[p]
-                if best is None or cand < best:
-                    best, best_p = cand, p
-            if not sub:
-                break
+        while sub:
             sub = (sub - 1) & rest
+            cand = dp[rest ^ sub] + psi[sub | low]
+            if cand < best:
+                best = cand
+                best_p = sub | low
         dp[mask] = best
         par[mask] = best_p
-    if dp[full] is None:
-        return None
     cover = []
     mask = full
     while mask:
         p = par[mask]
+        if arg[p] is None:
+            return None  # the cheapest partition uses an unheld footprint
         cover.append(arg[p])
         mask ^= p
-    return Rational(dp[full], scale), tuple(cover)
+    return dp[full], tuple(cover)
 
 
-def fractional_cover_min(values: dict[int, Rational], target: int):
+def fractional_cover_min(values: dict, target: int):
     """Optimal fractional cover of ``target`` by its own nonempty subsets:
     (value, weights). Row generation from the singletons keeps the LP small
-    although there are 2^|T| - 1 candidate sets."""
+    although there are 2^|T| - 1 candidate sets. On values scaled by an
+    integer the value scales with them and the weights are the same."""
     # submasks() ascends, so the p-th subset of target packs to p
     subs = submasks(target)
     t = popcount(target)
@@ -270,8 +300,10 @@ def fractional_cover_min(values: dict[int, Rational], target: int):
 
 def _run(oracle: FunctionOracle, epsilon, rng, variant: str, queried, checks):
     """The testers' one loop: ceil(1/eps) draws of T from M_lambda, the
-    oracle read once at each set of ``queried(T)``, and a rejection at the
-    first witness one of ``checks(T, values)`` returns."""
+    oracle read once at the sets of ``queried(T)`` as ints over a common
+    denominator, and a rejection at the first witness one of
+    ``checks(T, values, scale)`` returns. The checks compare those ints and
+    form Rationals (int / scale) only for a witness."""
     eps = _as_rational(epsilon)
     if isinstance(rng, random.Random):
         seed = None
@@ -283,36 +315,45 @@ def _run(oracle: FunctionOracle, epsilon, rng, variant: str, queried, checks):
     iterations = math.ceil(1 / eps)
     if iterations > MAX_DRAWS:
         raise TooLarge(f"a tester run takes ceil(1/eps) draws; at most {MAX_DRAWS}")
+    draw = layer_sampler(oracle.m, eps, variant)
     start = oracle.query_count
     for it in range(1, iterations + 1):
-        target = sample_M_lambda(oracle.m, eps, variant, rng)
-        values = {s: oracle.evaluate(s) for s in queried(target)}
+        target = draw(rng)
+        masks = queried(target)
+        ints, scale = oracle.read_scaled(masks)
+        values = dict(zip(masks, ints))
         for check in checks:
-            w = check(target, values)
+            w = check(target, values, scale)
             if w is not None:
                 return TesterReport("reject", oracle.query_count - start, w, it, seed)
     return TesterReport("accept", oracle.query_count - start, None, iterations, seed)
 
 
-def _monotonicity_violation(target, values):
+def _monotonicity_violation(target, values, scale):
     ft = values[target]
+    if max(values.values()) <= ft:
+        return None
     for s, v in values.items():
-        if s != target and v > ft:
-            return MonotonicityWitness(target, s, ft, v)
+        if v > ft:
+            return MonotonicityWitness(target, s, Rational(ft, scale), Rational(v, scale))
     return None
 
 
-def _union_cover_violation(target, values):
+def _union_cover_violation(target, values, scale):
     hit = min_union_cover(values, target, values.keys())
     if hit is not None and hit[0] < values[target]:
-        return CoverViolation(target, hit[1], hit[0], values[target])
+        return CoverViolation(
+            target, hit[1], Rational(hit[0], scale), Rational(values[target], scale)
+        )
     return None
 
 
-def _fractional_cover_violation(target, values):
+def _fractional_cover_violation(target, values, scale):
     cost, weights = fractional_cover_min(values, target)
     if cost < values[target]:
-        return XosNotExtendible(target, weights, cost, values[target])
+        return XosNotExtendible(
+            target, weights, cost / scale, Rational(values[target], scale)
+        )
     return None
 
 

@@ -123,7 +123,7 @@ def fractional_cover(footprints, t: int, start):
 
     def row(k):
         p, value = footprints[k]
-        coeffs = tuple(ONE if p >> i & 1 else ZERO for i in range(t))
+        coeffs = tuple(p >> i & 1 for i in range(t))
         return lp.Constraint(coeffs, "<=", value)
 
     # the separation runs on integers over a common denominator of the
@@ -134,7 +134,7 @@ def fractional_cover(footprints, t: int, start):
     cons = [row(k) for k in generated]
     while True:
         out = lp.solve(
-            lp.ExactLP(names, tuple(cons), ((ONE,) * t, "max"), lower=(ZERO,) * t)
+            lp.ExactLP(names, tuple(cons), ((1,) * t, "max"), lower=(0,) * t)
         )
         if not isinstance(out, lp.Optimal):
             raise InternalError("internal error: the fractional-cover LP has no optimum")

@@ -2,15 +2,25 @@
 
 import json
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from extendkit import cli
 from extendkit import oracle as orc
 from extendkit import submodular as sm
 from extendkit import testers as ts
-from extendkit.errors import MalformedRational, TooLarge
-from extendkit.ground import PartialSetFunction, Rational as Q, mask_of, popcount, serialize
+from extendkit.errors import MalformedDocument, MalformedRational, TooLarge
+from extendkit.ground import (
+    PartialSetFunction,
+    Rational as Q,
+    mask_of,
+    popcount,
+    rational_pair,
+    serialize,
+)
 
 
 def psf(m, *pairs):
@@ -92,13 +102,87 @@ def test_parsed_table_reads_each_literal_once():
     assert orc.parse_full_table('{"m":1,"values":["0","-1/3"]}').values.has_negative()
 
 
-@pytest.mark.parametrize("bad", ["x", "5\n", "٣", "1/0", " 1", 1, None])
-def test_malformed_table_entry_anywhere_is_rejected(bad):
+@pytest.mark.parametrize(
+    "bad", ["x", "5\n", "٣", "1/0", " 1", 1, None, "", "1\n2", "1/00", "--1", 2.5]
+)
+def test_malformed_table_entry_anywhere_is_rejected(tmp_path, bad):
+    """The scan's error is rational_pair's, whether the literal comes
+    first, in the middle or last, and ``test`` exits 2 on it."""
+    with pytest.raises(MalformedRational) as want:
+        rational_pair(bad)
     for index in (0, 5, 7):
         values = ["1"] * 8
         values[index] = bad
-        with pytest.raises(MalformedRational):
+        with pytest.raises(MalformedRational) as got:
             orc.parse_full_table(json.dumps({"m": 3, "values": values}))
+        assert str(got.value) == str(want.value)
+        path = tmp_path / "table.json"
+        path.write_text(json.dumps({"m": 3, "values": values}))
+        argv = ["test", "--class", "xos", "--oracle", str(path), "--epsilon", "1/4"]
+        assert cli.main(argv) == 2
+
+
+# table entries for the scan: short texts over the characters that make or
+# break a literal, valid literals, and values that are not strings
+_entries = st.one_of(
+    st.text(alphabet="0123456789+-/\n ٣", max_size=5),
+    st.from_regex(r"[+-]?[0-9]{1,3}(/[0-9]{1,2})?", fullmatch=True),
+    st.integers(-3, 9),
+    st.floats(allow_nan=False),
+    st.none(),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(0, 3).flatmap(lambda m: st.tuples(
+    st.just(m), st.lists(_entries, min_size=1 << m, max_size=1 << m))))
+def test_literal_scan_agrees_with_rational_pair(case):
+    """The one-pass scan of parse_full_table accepts exactly the tables
+    whose every entry rational_pair() accepts, raises the same error as
+    rational_pair() on the first entry it refuses, and reads the same
+    values and the same sign."""
+    m, values = case
+    try:
+        pairs = [rational_pair(v) for v in values]
+    except MalformedRational as exc:
+        with pytest.raises(MalformedRational) as got:
+            orc.parse_full_table({"m": m, "values": values})
+        assert str(got.value) == str(exc)
+        return
+    table = orc.parse_full_table({"m": m, "values": values})
+    assert list(table.values) == [Q(p, q) for p, q in pairs]
+    assert table.values.has_negative() == any(p < 0 for p, _q in pairs)
+    ints, scale = table.values.scaled(range(1 << m))
+    assert [Q(n, scale) for n in ints] == [Q(p, q) for p, q in pairs]
+
+
+def test_empty_and_zero_tables():
+    with pytest.raises(MalformedDocument, match="needs 1 entries, got 0"):
+        orc.parse_full_table({"m": 0, "values": []})
+    for zeros in (["-0", "-0/3"], ["-00/5", "0"], ["+0", "-000"]):
+        assert not orc.parse_full_table({"m": 1, "values": zeros}).values.has_negative()
+    assert orc.parse_full_table({"m": 1, "values": ["0", "-01/3"]}).values.has_negative()
+
+
+def test_table_scan_memory_stays_near_json_loads():
+    """Parsing a decoded 2^16-entry table peaks below twice what json.loads
+    of its text does: the scan keeps constant state, where a match of a
+    repeated group over the joined literals keeps state per entry."""
+    values = [f"{i % 97}/{i % 5 + 1}" if i % 3 else str(i % 89) for i in range(1 << 16)]
+    text = json.dumps({"m": 16, "values": values})
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        doc = json.loads(text)
+        load_peak = tracemalloc.get_traced_memory()[1] - start
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        table = orc.parse_full_table(doc)
+        parse_peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert len(table.values) == 1 << 16
+    assert parse_peak < 2 * load_peak, (parse_peak, load_peak)
 
 
 def _random_table(rng, m):

@@ -302,6 +302,108 @@ def test_fractional_cover_min_matches_direct_lp():
         assert sum((w * values[s] for s, w in weights), Q(0)) == got
 
 
+def test_cover_checks_scale_with_integer_values():
+    """On values times an integer L (here ints, as the testers read them)
+    both cover checks return L times the cost, and the same cover or
+    weights, as on the Rationals."""
+    from extendkit.ground import submasks
+
+    rng = random.Random(43)
+    m = 6
+    for trial in range(60):
+        target = rng.randrange(1 << m)
+        values = {
+            s: Q(rng.randint(0, 12), rng.choice((1, 2, 3, 5, 7)))
+            for s in submasks(target)
+        }
+        scale = math.lcm(*(v.denominator for v in values.values())) * rng.randint(1, 3)
+        ints = {s: int(v * scale) for s, v in values.items()}
+        available = set(values)
+        if trial % 2:
+            available = {s for s in values if rng.random() < 0.6}
+        want = ts.min_union_cover(values, target, available)
+        got = ts.min_union_cover(ints, target, available)
+        if want is None:
+            assert got is None
+        else:
+            assert got == (want[0] * scale, want[1])
+        cost, weights = ts.fractional_cover_min(values, target)
+        assert ts.fractional_cover_min(ints, target) == (cost * scale, weights)
+
+
+def _none_dp_cover(values, target, available):
+    """min_union_cover over the target's footprints as it was written with
+    None for a footprint no available set holds: the reference for the
+    finite sentinel's costs, covers and tie-breaks."""
+    from extendkit.ground import submasks
+
+    if target == 0:
+        return (values[0], (0,)) if 0 in available else None
+    t = popcount(target)
+    full = (1 << t) - 1
+    psi, arg = [None] * (full + 1), [None] * (full + 1)
+    for p, sub in enumerate(submasks(target)):
+        if p and sub in available:
+            psi[p], arg[p] = values[sub], sub
+    for i in range(t):
+        for p in range(full, -1, -1):
+            q = p | 1 << i
+            if q != p and psi[q] is not None and (psi[p] is None or psi[q] < psi[p]):
+                psi[p], arg[p] = psi[q], arg[q]
+    dp, par = [0] + [None] * full, [None] * (full + 1)
+    for mask in range(1, full + 1):
+        low = mask & -mask
+        rest = mask ^ low
+        sub = rest
+        while True:
+            p = sub | low
+            if psi[p] is not None and dp[rest ^ sub] is not None:
+                cand = dp[rest ^ sub] + psi[p]
+                if dp[mask] is None or cand < dp[mask]:
+                    dp[mask], par[mask] = cand, p
+            if not sub:
+                break
+            sub = (sub - 1) & rest
+    if dp[full] is None:
+        return None
+    cover, mask = [], full
+    while mask:
+        cover.append(arg[par[mask]])
+        mask ^= par[mask]
+    return dp[full], tuple(cover)
+
+
+def test_union_cover_sentinel_matches_none_reference():
+    """Same cost and same cover as the None-based DP, ties included (small
+    value ranges make many), on negative values too, where a cover may pay
+    for one set twice."""
+    rng = random.Random(47)
+    for trial in range(300):
+        m = rng.randint(1, 6)
+        target = rng.randrange(1, 1 << m)
+        lo = -3 if trial % 3 == 0 else 0
+        values = {s: rng.randint(lo, 3) for s in range(1 << m) if s & ~target == 0}
+        available = {s for s in values if rng.random() < 0.7}
+        assert ts.min_union_cover(values, target, available) == _none_dp_cover(
+            values, target, available
+        )
+
+
+def test_read_scaled_counts_one_query_per_set():
+    from extendkit import oracle as orc
+
+    literals = ["0", "1/2", "6/8", "3", "-0/3", "5/6", "2", "7/3"]
+    table = orc.parse_full_table({"m": 3, "values": literals})
+    for oracle in (
+        ts.FunctionOracle.from_table(table),
+        ts.FunctionOracle(3, [Fraction(x) for x in literals].__getitem__),
+    ):
+        ints, scale = oracle.read_scaled([7, 1, 2, 5])
+        assert oracle.query_count == 4
+        assert [Q(n, scale) for n in ints] == [Q(7, 3), Q(1, 2), Q(3, 4), Q(5, 6)]
+        assert oracle.read_scaled([]) == ([], 1) and oracle.query_count == 4
+
+
 def test_nonbad_sets_form_extendible_partial_function():
     """The tester analysis hinges on the non-bad part of M_lambda being
     extendible; check it exhaustively at m=4 for all three testers."""

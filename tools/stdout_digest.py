@@ -12,9 +12,10 @@ in order, writing each ``save_as`` file as the benchmark does. One line per
 workload and seed gives the call count, the sha256 of every call's (key,
 exit code, stdout), and the sha256 of every call's (key, exit code, stderr)
 from a second pass with ``--debug-lp`` added wherever the command accepts
-it, so the second column changes exactly when some simplex pivot does. The
-last column counts the ``[lp] pivot`` lines of that pass, so a change that
-alters pivots shows by how many.
+it, and ``extendkit.lp.DEBUG`` set around the call where it does not
+(``test``), so the second column changes exactly when some simplex pivot
+does. The last column counts the ``[lp] pivot`` lines of that pass, so a
+change that alters pivots shows by how many.
 
 Two trees that print the same lines behave the same on the benchmark.
 Paths in argv are relative to the temporary directory, so the digests do
@@ -46,10 +47,10 @@ def debug_commands(cli) -> set[str]:
     return {name for name, sp in sub.choices.items() if "--debug-lp" in sp._option_string_actions}
 
 
-def run_pass(cli, calls, debug: set[str] | None) -> tuple[str, int, int]:
+def run_pass(cli, lp, calls, debug: set[str] | None) -> tuple[str, int, int]:
     """(sha256 over the calls, call count, pivot lines). With ``debug``,
-    --debug-lp is added to those commands and stderr is digested instead of
-    stdout."""
+    --debug-lp is added to those commands, lp.DEBUG is set around the
+    others, and stderr is digested instead of stdout."""
     h = hashlib.sha256()
     pivots = 0
     for call in calls:
@@ -57,11 +58,15 @@ def run_pass(cli, calls, debug: set[str] | None) -> tuple[str, int, int]:
         if debug is not None and argv[0] in debug:
             argv.append("--debug-lp")
         out, err = io.StringIO(), io.StringIO()
+        # cli.main restores the lp.DEBUG it found, so set it outside the call
+        lp.DEBUG = debug is not None and argv[0] not in debug
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             try:
                 code = cli.main(argv)
             except SystemExit as exc:
                 code = exc.code
+            finally:
+                lp.DEBUG = False
         if call.save_as:
             with open(call.save_as, "w", encoding="utf-8") as fh:
                 fh.write(out.getvalue())
@@ -81,7 +86,7 @@ def main(argv=None) -> int:
 
     tree = os.path.abspath(args.tree)
     sys.path[:0] = [os.path.join(tree, "src"), os.path.join(tree, "bench")]
-    from extendkit import cli
+    from extendkit import cli, lp
     from workloads import WORKLOADS
 
     debug = debug_commands(cli)
@@ -96,8 +101,8 @@ def main(argv=None) -> int:
                     for path, text in wl.files.items():
                         with open(path, "w", encoding="utf-8") as fh:
                             fh.write(text)
-                    stdout, n, _p = run_pass(cli, wl.calls, None)
-                    stderr, _n, pivots = run_pass(cli, wl.calls, debug)
+                    stdout, n, _p = run_pass(cli, lp, wl.calls, None)
+                    stderr, _n, pivots = run_pass(cli, lp, wl.calls, debug)
                 finally:
                     os.chdir(home)
             total += n
