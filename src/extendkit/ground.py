@@ -6,9 +6,11 @@ positive denominator, exact field arithmetic.
 The exact kernels (the simplex, the cover DPs, dual-vertex enumeration)
 do not add rationals in their inner loops: they scale their inputs once to
 integers over a common denominator with denominator_lcm() and scaled_int()
-(a partial set function keeps its scaled values, PartialSetFunction.int_values;
-a tester reads each drawn set's values as ints, FunctionOracle.read_scaled),
-run on Python ints, and form rationals only when results are read out.
+(a partial set function keeps its scaled values, PartialSetFunction.int_values,
+which the subadditive cover DP and the XOS roof LP read; a tester reads
+each drawn set's subsets once as one packed table of ints,
+FunctionOracle.read_scaled), run on Python ints, and form rationals only
+when results are read out.
 Scaling by a positive integer keeps every comparison, so tie-breaks and
 outputs are the same as in rational arithmetic.
 Subsets of {0,...,m-1} are plain int bitmasks; Python ints are
@@ -166,12 +168,6 @@ class PartialSetFunction:
     @property
     def masks(self) -> tuple[int, ...]:
         return tuple(mask for mask, _ in self.points)
-
-    def value_at(self, mask: int) -> Rational:
-        for pm, v in self.points:
-            if pm == mask:
-                return v
-        raise KeyError(f"undefined point {sorted(elements(mask))}")
 
     def as_dict(self) -> dict[int, Rational]:
         return {mask: v for mask, v in self.points}

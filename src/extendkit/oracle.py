@@ -9,7 +9,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from itertools import combinations
-from math import lcm
+from math import comb, lcm
 
 from . import lp
 from .errors import InfeasibleParameters, InternalError, MalformedDocument, TooLarge
@@ -27,7 +27,7 @@ from .ground import (
     popcount,
     rational_pair,
 )
-from .submodular import SquareCertificate, square
+from .submodular import SquareCertificate, square, verify_square_certificate
 
 CLASSES = ("monotone-subadditive", "general-subadditive", "xos", "submodular")
 
@@ -349,8 +349,6 @@ def random_antichain(m: int, n: int, rng, restarts: int = 50) -> tuple[int, ...]
     """A containment-free family of n distinct subsets of [m]: greedy
     draws with restarts, falling back to a sample of the middle layer
     (always an antichain) when greedy keeps wedging itself."""
-    from math import comb
-
     if n > comb(m, m // 2):
         raise InfeasibleParameters(
             f"no antichain of size {n} exists over [{m}] (Sperner bound)"
@@ -414,8 +412,6 @@ def random_valid_square_certificate(m: int, rng, max_squares: int = 3):
             values[s_star] += (ONE - total) / g
         h = PartialSetFunction(m, tuple(sorted(values.items())))
         cert = SquareCertificate(m, tuple(tuples), h)
-        from .submodular import verify_square_certificate
-
         if not verify_square_certificate(cert, h):
             raise InternalError("internal error: a generated certificate does not verify")
         return cert, h

@@ -18,8 +18,9 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional
 
-from .errors import InternalError
+from .errors import InfeasibleParameters, InternalError
 from .ground import PartialSetFunction, Rational, elements, mask_of
+from .xos import approx_xos
 
 MONOTONE = "monotone"
 EXACT_UNION = "exact_union"
@@ -233,8 +234,6 @@ def approx_subadditive_via_xos(h: PartialSetFunction) -> Rational:
     within O(log m) of an XOS one, so alpha_sub <= alpha_xos <= O(log m)
     times alpha_sub.
     """
-    from .xos import approx_xos
-
     h.require_positive("subadditive")
     alpha, _vectors = approx_xos(h)
     return alpha
@@ -264,8 +263,6 @@ def gen_set_cover_gadget(m: int, cover_sets, k: int) -> PartialSetFunction:
 
     The full ground set may not itself belong to the cover family (it
     would need two conflicting values), and k must be nonnegative."""
-    from .errors import InfeasibleParameters
-
     full = (1 << m) - 1
     if k < 0:
         raise InfeasibleParameters("k must be >= 0")

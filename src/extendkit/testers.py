@@ -2,8 +2,10 @@
 functions over query oracles, with exact violation checks and query
 accounting.
 
-Each run draws ceil(1/eps) sets from the middle-weighted slice M_lambda
-of the cube, queries the subsets of the drawn set, and rejects on an
+Each run draws ceil(1/eps) sets T from the middle-weighted slice M_lambda
+of the cube. Per draw it enumerates the subsets of T once (the p-th subset
+packs to p), reads the queried ones as one table of ints over a common
+denominator, and every check reads that table by index; it rejects on an
 exactly verified violation. lambda uses the natural logarithm in both
 samplers: the two Chernoff arguments need e^{-lambda^2}, so sqrt(ln(4/eps))
 is the proof-consistent reading of the two differing notations.
@@ -20,8 +22,9 @@ from .errors import EpsilonOutOfRange, InternalError, TooLarge
 from .ground import (
     PartialSetFunction,
     Rational,
+    denominator_lcm,
     elements,
-    popcount,
+    scaled_int,
     submasks,
     to_jsonable,
 )
@@ -57,8 +60,8 @@ class FunctionOracle:
 
     def _scaled_rationals(self, masks) -> tuple[list[int], int]:
         values = list(map(self._fn, masks))
-        scale = math.lcm(*{v.denominator for v in values})
-        return [v.numerator * (scale // v.denominator) for v in values], scale
+        scale = denominator_lcm(values)
+        return [scaled_int(v, scale) for v in values], scale
 
     def evaluate(self, mask: int) -> Rational:
         self.query_count += 1
@@ -206,39 +209,35 @@ class TesterReport:
 # exact per-target checks
 
 
-def min_union_cover(values: dict, target: int, available):
-    """Minimum-cost family of available subsets of ``target`` whose union
-    is exactly ``target``: (cost, cover) or None.
+def min_union_cover(vals, subs):
+    """Minimum-cost family of queried subsets of the target ``subs[-1]``
+    whose union is exactly the target: (cost, cover) or None.
 
+    ``subs`` is submasks(target), so the p-th subset packs to p, and
+    ``vals[p]`` is its value, or None where it was not queried.
     Superset-minimization first (covering already-covered elements is
     free), then a cover DP over the 3^|T| (footprint, remainder) pairs. It
     runs on the values as given, with no rescaling: the testers pass ints
     over a common denominator, on which the cost is that many times the
     rational one and the cover is the same.
     """
-    if target == 0:
+    full = len(subs) - 1
+    if not full:
         # families have r >= 1 sets and every set is a subset of the
         # target; only the empty set itself can cover the empty target
-        return (values[0], (0,)) if 0 in available else None
-    t = popcount(target)
-    full = (1 << t) - 1
-    # psi[p]: the cheapest available set whose footprint is a superset of p;
-    # submasks() ascends, so the p-th subset of target packs to p
-    subs = [
-        (p, sub) for p, sub in enumerate(submasks(target)) if p and sub in available
-    ]
-    # A footprint no available set holds costs ``none``: above twice the
-    # sum of |psi| over all 2^t footprints, each at most the largest |value|.
+        return None if vals[0] is None else (vals[0], (0,))
+    t = full.bit_length()
+    # A footprint no queried set holds costs ``none``: above twice the sum
+    # of |psi| over all 2^t footprints, each at most the largest |value|.
     # A partition of the target into held footprints costs at most that sum
     # and one using an unheld footprint at least ``none`` minus it, so the
     # latter never ties or beats the former.
-    held = [values[sub] for _p, sub in subs]
+    held = [v for v in vals if v is not None]
     none = max(map(abs, held), default=0) * (2 << t) + 1
-    psi: list = [none] * (full + 1)
-    arg: list = [None] * (full + 1)
-    for (p, sub), v in zip(subs, held):
-        psi[p] = v
-        arg[p] = sub
+    # psi[p]: the cheapest queried set whose footprint is a superset of p;
+    # the DP reads no psi[0], so the empty set's value is left in place
+    psi = [none if v is None else v for v in vals]
+    arg = [None if v is None else s for s, v in zip(subs, vals)]
     for i in range(t):
         bit = 1 << i
         for p in range(full, -1, -1):
@@ -278,18 +277,16 @@ def min_union_cover(values: dict, target: int, available):
     return dp[full], tuple(cover)
 
 
-def fractional_cover_min(values: dict, target: int):
-    """Optimal fractional cover of ``target`` by its own nonempty subsets:
-    (value, weights). Row generation from the singletons keeps the LP small
-    although there are 2^|T| - 1 candidate sets. On values scaled by an
-    integer the value scales with them and the weights are the same."""
-    # submasks() ascends, so the p-th subset of target packs to p
-    subs = submasks(target)
-    t = popcount(target)
+def fractional_cover_min(vals, subs):
+    """Optimal fractional cover of the target ``subs[-1]`` by its own
+    nonempty subsets, ``subs`` and ``vals`` packed as in min_union_cover
+    with every value present: (value, weights). Row generation from the
+    singletons keeps the LP small although there are 2^|T| - 1 candidate
+    sets. On values scaled by an integer the value scales with them and the
+    weights are the same."""
+    t = (len(subs) - 1).bit_length()
     value, weights, _y = fractional_cover(
-        [(p, values[subs[p]]) for p in range(1, len(subs))],
-        t,
-        [(1 << i) - 1 for i in range(t)],
+        range(1, len(subs)), vals[1:], t, [(1 << i) - 1 for i in range(t)]
     )
     return value, tuple((subs[k + 1], w) for k, w in weights)
 
@@ -298,12 +295,14 @@ def fractional_cover_min(values: dict, target: int):
 # the testers
 
 
-def _run(oracle: FunctionOracle, epsilon, rng, variant: str, queried, checks):
-    """The testers' one loop: ceil(1/eps) draws of T from M_lambda, the
-    oracle read once at the sets of ``queried(T)`` as ints over a common
-    denominator, and a rejection at the first witness one of
-    ``checks(T, values, scale)`` returns. The checks compare those ints and
-    form Rationals (int / scale) only for a witness."""
+def _run(oracle: FunctionOracle, epsilon, rng, variant: str, checks):
+    """The testers' one loop: ceil(1/eps) draws of T from M_lambda, each
+    with subs = submasks(T) (the p-th subset packs to p) and one oracle
+    read of the subsets with at least kmin elements, as ints over a common
+    denominator: vals[p], or None where subs[p] was not read. It rejects at
+    the first witness one of ``checks(subs, vals, scale)`` returns. The
+    checks compare those ints and form Rationals (int / scale) only for a
+    witness."""
     eps = _as_rational(epsilon)
     if isinstance(rng, random.Random):
         seed = None
@@ -316,43 +315,50 @@ def _run(oracle: FunctionOracle, epsilon, rng, variant: str, queried, checks):
     if iterations > MAX_DRAWS:
         raise TooLarge(f"a tester run takes ceil(1/eps) draws; at most {MAX_DRAWS}")
     draw = layer_sampler(oracle.m, eps, variant)
+    # T lies in the layers, so no subset of it is above kmax
+    kmin = layer_bounds(oracle.m, eps, variant)[0]
     start = oracle.query_count
     for it in range(1, iterations + 1):
-        target = draw(rng)
-        masks = queried(target)
-        ints, scale = oracle.read_scaled(masks)
-        values = dict(zip(masks, ints))
+        subs = submasks(draw(rng))
+        if kmin:
+            read = [p for p in range(len(subs)) if p.bit_count() >= kmin]
+            ints, scale = oracle.read_scaled([subs[p] for p in read])
+            vals = [None] * len(subs)
+            for p, v in zip(read, ints):
+                vals[p] = v
+        else:
+            vals, scale = oracle.read_scaled(subs)
         for check in checks:
-            w = check(target, values, scale)
+            w = check(subs, vals, scale)
             if w is not None:
                 return TesterReport("reject", oracle.query_count - start, w, it, seed)
     return TesterReport("accept", oracle.query_count - start, None, iterations, seed)
 
 
-def _monotonicity_violation(target, values, scale):
-    ft = values[target]
-    if max(values.values()) <= ft:
+def _monotonicity_violation(subs, vals, scale):
+    ft = vals[-1]
+    if max(vals) <= ft:
         return None
-    for s, v in values.items():
+    for s, v in zip(subs, vals):
         if v > ft:
-            return MonotonicityWitness(target, s, Rational(ft, scale), Rational(v, scale))
+            return MonotonicityWitness(subs[-1], s, Rational(ft, scale), Rational(v, scale))
     return None
 
 
-def _union_cover_violation(target, values, scale):
-    hit = min_union_cover(values, target, values.keys())
-    if hit is not None and hit[0] < values[target]:
+def _union_cover_violation(subs, vals, scale):
+    hit = min_union_cover(vals, subs)
+    if hit is not None and hit[0] < vals[-1]:
         return CoverViolation(
-            target, hit[1], Rational(hit[0], scale), Rational(values[target], scale)
+            subs[-1], hit[1], Rational(hit[0], scale), Rational(vals[-1], scale)
         )
     return None
 
 
-def _fractional_cover_violation(target, values, scale):
-    cost, weights = fractional_cover_min(values, target)
-    if cost < values[target]:
+def _fractional_cover_violation(subs, vals, scale):
+    cost, weights = fractional_cover_min(vals, subs)
+    if cost < vals[-1]:
         return XosNotExtendible(
-            target, weights, cost / scale, Rational(values[target], scale)
+            subs[-1], weights, cost / scale, Rational(vals[-1], scale)
         )
     return None
 
@@ -362,8 +368,7 @@ def test_subadditive(oracle: FunctionOracle, epsilon, rng) -> TesterReport:
     query all subsets, reject on f(T) < f(T') for T' inside T or on an
     exact-union cover cheaper than f(T)."""
     return _run(
-        oracle, epsilon, rng, ONESIDED, submasks,
-        (_monotonicity_violation, _union_cover_violation),
+        oracle, epsilon, rng, ONESIDED, (_monotonicity_violation, _union_cover_violation)
     )
 
 
@@ -371,8 +376,7 @@ def test_xos(oracle: FunctionOracle, epsilon, rng) -> TesterReport:
     """XOS tester: like the subadditive tester but the cover check is the
     fractional-cover LP over the subsets of T."""
     return _run(
-        oracle, epsilon, rng, ONESIDED, submasks,
-        (_monotonicity_violation, _fractional_cover_violation),
+        oracle, epsilon, rng, ONESIDED, (_monotonicity_violation, _fractional_cover_violation)
     )
 
 
@@ -380,9 +384,4 @@ def test_nonmonotone_subadditive(oracle: FunctionOracle, epsilon, rng) -> Tester
     """Nonmonotone subadditive tester: two-sided M_lambda, queries only
     Q(T) = subsets of T inside M_lambda, rejects only on exact-union
     covers by Q(T) members."""
-    kmin, kmax, _ = layer_bounds(oracle.m, epsilon, TWOSIDED)
-
-    def in_band(target):
-        return [s for s in submasks(target) if kmin <= popcount(s) <= kmax]
-
-    return _run(oracle, epsilon, rng, TWOSIDED, in_band, (_union_cover_violation,))
+    return _run(oracle, epsilon, rng, TWOSIDED, (_union_cover_violation,))

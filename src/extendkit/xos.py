@@ -15,7 +15,6 @@ of an exact extension.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from . import lp
@@ -102,10 +101,11 @@ class XosNotExtendible:
         }
 
 
-def fractional_cover(footprints, t: int, start):
+def fractional_cover(footprints, values, t: int, start):
     """Minimum cost of a fractional cover of the elements 0..t-1 by packed
-    footprints [(p, value)], each p a nonzero mask over them and each value
-    >= 0, when every element lies in some footprint: (value, weights, y).
+    footprints, each a nonzero mask over them, with integer costs ``values``
+    >= 0 in parallel, when every element lies in some footprint:
+    (value, weights, y).
 
     The LP is the cover's dual: one variable y_i >= 0 per element, maximise
     sum y_i subject to y . chi(p) <= value, one row per footprint. It starts
@@ -122,14 +122,9 @@ def fractional_cover(footprints, t: int, start):
     names = tuple(f"b{i}" for i in range(t))
 
     def row(k):
-        p, value = footprints[k]
-        coeffs = tuple(p >> i & 1 for i in range(t))
-        return lp.Constraint(coeffs, "<=", value)
+        p = footprints[k]
+        return lp.Constraint(tuple(p >> i & 1 for i in range(t)), "<=", values[k])
 
-    # the separation runs on integers over a common denominator of the
-    # values and y
-    value_scale = denominator_lcm(v for _p, v in footprints)
-    scaled_value = [(p, scaled_int(v, value_scale)) for p, v in footprints]
     generated = list(start)
     cons = [row(k) for k in generated]
     while True:
@@ -141,16 +136,16 @@ def fractional_cover(footprints, t: int, start):
         y = [out.assignment[name] for name in names]
         if len(generated) == len(footprints):
             break
-        scale = math.lcm(value_scale, denominator_lcm(y))
+        # the separation runs on integers: y over its common denominator
+        scale = denominator_lcm(y)
         beta = [scaled_int(b, scale) for b in y]
-        up = scale // value_scale
         sums = [0] * (1 << t)
         for p in range(1, 1 << t):
             low = p & -p
             sums[p] = sums[p ^ low] + beta[low.bit_length() - 1]
         worst, worst_k = 0, None
-        for k, (p, v) in enumerate(scaled_value):
-            slack = sums[p] - v * up
+        for k, (p, v) in enumerate(zip(footprints, values)):
+            slack = sums[p] - v * scale
             if slack > worst:
                 worst, worst_k = slack, k
         if worst_k is None:
@@ -169,31 +164,35 @@ def eval_xos_roof(h: PartialSetFunction, target: int):
 
     The dual vector y over [m] is zero outside ``target``, has
     y . chi(T_k) <= f_k for every defined T_k, and y . chi(target) = value.
+    The LP runs on the values times L (h.int_values), which scales its
+    value and y by L and leaves its pivots and weights as they are.
     """
     h.require_nonnegative("xos")
     if h.m > MAX_DENSE_M:
         raise TooLarge(f"XOS vectors are dense over [m]; m <= {MAX_DENSE_M} only")
     elems = elements(target)
-    masks, footprints = [], []
+    scale, ints = h.int_values
+    masks, footprints, values = [], [], []
     covered = 0
-    for mask, value in h.points:
+    for mask, v in zip(h.masks, ints):
         p = 0
         for i, e in enumerate(elems):
             if mask >> e & 1:
                 p |= 1 << i
         if p:
             masks.append(mask)
-            footprints.append((p, value))
+            footprints.append(p)
+            values.append(v)
             covered |= p
     if covered != (1 << len(elems)) - 1:
         return None
     value, weights, y = fractional_cover(
-        footprints, len(elems), range(len(footprints))
+        footprints, values, len(elems), range(len(footprints))
     )
     vector = [ZERO] * h.m
     for e, v in zip(elems, y):
-        vector[e] = v
-    return value, tuple((masks[k], w) for k, w in weights), tuple(vector)
+        vector[e] = v / scale
+    return value / scale, tuple((masks[k], w) for k, w in weights), tuple(vector)
 
 
 def extend_xos(h: PartialSetFunction):

@@ -8,7 +8,7 @@ import pytest
 
 from extendkit import testers as ts
 from extendkit.errors import EpsilonOutOfRange, TooLarge
-from extendkit.ground import Rational as Q, elements, popcount
+from extendkit.ground import Rational as Q, elements, popcount, submasks
 
 EPS = Fraction(1, 4)
 
@@ -47,6 +47,15 @@ def planted_oracle(m):
         return Q(m) if k > m / 2 else Q(1)
 
     return ts.FunctionOracle(m, fn)
+
+
+def packed(values, target, available=None):
+    """The cover kernels' arguments (vals, subs) for a dict of values:
+    subs = submasks(target) and vals[p] the value at subs[p], or None where
+    subs[p] is not in ``available`` (default: the dict's keys)."""
+    subs = submasks(target)
+    keep = values.keys() if available is None else available
+    return [values[s] if s in keep else None for s in subs], subs
 
 
 def test_epsilon_validation():
@@ -237,7 +246,7 @@ def test_min_union_cover_matches_bruteforce():
         available = set(values)
         if trial >= 40:  # some subsets are not available
             available = {s for s in values if rng.random() < 0.6}
-        got = ts.min_union_cover(values, target, available)
+        got = ts.min_union_cover(*packed(values, target, available))
         subsets = [s for s in range(1, 1 << t) if s in available]
         best = None
         for r in range(1, len(subsets) + 1):
@@ -266,7 +275,7 @@ def test_min_union_cover_matches_bruteforce():
 
 def test_fractional_cover_min_matches_direct_lp():
     from extendkit import lp
-    from extendkit.ground import ONE, ZERO, submasks
+    from extendkit.ground import ONE, ZERO
 
     rng = random.Random(29)
     for _ in range(30):
@@ -276,7 +285,7 @@ def test_fractional_cover_min_matches_direct_lp():
             s: Q(rng.randint(0, 8), rng.choice((1, 2, 3, 5, 7, 11)))
             for s in range(1 << t)
         }
-        got, weights = ts.fractional_cover_min(values, target)
+        got, weights = ts.fractional_cover_min(*packed(values, target))
         subs = [s for s in submasks(target) if s]
         cons = []
         for e in range(t):
@@ -306,8 +315,6 @@ def test_cover_checks_scale_with_integer_values():
     """On values times an integer L (here ints, as the testers read them)
     both cover checks return L times the cost, and the same cover or
     weights, as on the Rationals."""
-    from extendkit.ground import submasks
-
     rng = random.Random(43)
     m = 6
     for trial in range(60):
@@ -321,22 +328,20 @@ def test_cover_checks_scale_with_integer_values():
         available = set(values)
         if trial % 2:
             available = {s for s in values if rng.random() < 0.6}
-        want = ts.min_union_cover(values, target, available)
-        got = ts.min_union_cover(ints, target, available)
+        want = ts.min_union_cover(*packed(values, target, available))
+        got = ts.min_union_cover(*packed(ints, target, available))
         if want is None:
             assert got is None
         else:
             assert got == (want[0] * scale, want[1])
-        cost, weights = ts.fractional_cover_min(values, target)
-        assert ts.fractional_cover_min(ints, target) == (cost * scale, weights)
+        cost, weights = ts.fractional_cover_min(*packed(values, target))
+        assert ts.fractional_cover_min(*packed(ints, target)) == (cost * scale, weights)
 
 
 def _none_dp_cover(values, target, available):
     """min_union_cover over the target's footprints as it was written with
     None for a footprint no available set holds: the reference for the
     finite sentinel's costs, covers and tie-breaks."""
-    from extendkit.ground import submasks
-
     if target == 0:
         return (values[0], (0,)) if 0 in available else None
     t = popcount(target)
@@ -384,9 +389,53 @@ def test_union_cover_sentinel_matches_none_reference():
         lo = -3 if trial % 3 == 0 else 0
         values = {s: rng.randint(lo, 3) for s in range(1 << m) if s & ~target == 0}
         available = {s for s in values if rng.random() < 0.7}
-        assert ts.min_union_cover(values, target, available) == _none_dp_cover(
+        assert ts.min_union_cover(*packed(values, target, available)) == _none_dp_cover(
             values, target, available
         )
+
+
+@pytest.mark.parametrize(
+    "tester", [ts.test_subadditive, ts.test_xos, ts.test_nonmonotone_subadditive]
+)
+def test_subsets_enumerated_once_per_draw(tester, monkeypatch):
+    """submasks(T) runs once per draw: the checks read the draw's one
+    packed table and enumerate no subsets of their own."""
+    calls = []
+
+    def counted(mask):
+        calls.append(mask)
+        return submasks(mask)
+
+    monkeypatch.setattr(ts, "submasks", counted)
+    report = tester(modular_oracle(10), Fraction(1, 8), 3)
+    assert report.verdict == "accept"
+    assert len(calls) == report.iterations_run == 8
+
+
+@pytest.mark.parametrize(
+    "tester, variant",
+    [
+        (ts.test_subadditive, "onesided"),
+        (ts.test_xos, "onesided"),
+        (ts.test_nonmonotone_subadditive, "twosided"),
+    ],
+)
+def test_each_draw_reads_its_subsets_from_kmin_up_once(tester, variant):
+    """Each draw reads the subsets of T with at least kmin elements,
+    ascending, each once: the reads are those lists for the draws the
+    seeded sampler makes, in order."""
+    m, seed = 16, 11
+    kmin, _kmax, _ = ts.layer_bounds(m, EPS, variant)
+    assert (kmin > 0) == (variant == "twosided")
+    reads = []
+    oracle = ts.FunctionOracle(m, lambda s: (reads.append(s), Q(popcount(s)))[1])
+    report = tester(oracle, EPS, seed)
+    assert report.verdict == "accept"
+    draw, rng = ts.layer_sampler(m, EPS, variant), random.Random(seed)
+    want = []
+    for _ in range(report.iterations_run):
+        want += [s for s in submasks(draw(rng)) if popcount(s) >= kmin]
+    assert reads == want and report.queries == len(want)
 
 
 def test_read_scaled_counts_one_query_per_set():
@@ -409,7 +458,7 @@ def test_nonbad_sets_form_extendible_partial_function():
     extendible; check it exhaustively at m=4 for all three testers."""
     from extendkit import subadditive as sub
     from extendkit import xos
-    from extendkit.ground import PartialSetFunction, submasks
+    from extendkit.ground import PartialSetFunction
 
     rng = random.Random(61)
     m = 4
@@ -421,9 +470,9 @@ def test_nonbad_sets_form_extendible_partial_function():
             if any(v > subs[t] for s, v in subs.items() if s != t):
                 return True
             if fractional:
-                cost, _ = ts.fractional_cover_min(subs, t)
+                cost, _ = ts.fractional_cover_min(*packed(subs, t))
                 return cost < subs[t]
-            hit = ts.min_union_cover(subs, t, set(subs))
+            hit = ts.min_union_cover(*packed(subs, t))
             return hit is not None and hit[0] < subs[t]
 
         kmin1, kmax1, _ = ts.layer_bounds(m, EPS, "onesided")
@@ -443,7 +492,7 @@ def test_nonbad_sets_form_extendible_partial_function():
 
         def is_bad_nonmono(t):
             qt = {s: table[s] for s in submasks(t) if kmin2 <= popcount(s) <= kmax2}
-            hit = ts.min_union_cover(qt, t, set(qt))
+            hit = ts.min_union_cover(*packed(qt, t))
             return hit is not None and hit[0] < table[t]
 
         good = [s for s in mlam2 if not is_bad_nonmono(s)]

@@ -109,7 +109,7 @@ def test_extend_gadget_not_extendible():
     out = xos.extend_xos(GADGET)
     assert isinstance(out, xos.XosNotExtendible)
     assert out.target == 0b111
-    cost = sum((w * GADGET.value_at(mask) for mask, w in out.weights), Q(0))
+    cost = sum((w * GADGET.as_dict()[mask] for mask, w in out.weights), Q(0))
     assert cost == 3  # weights 1/2 each
     assert out.check(GADGET)
 

@@ -14,8 +14,11 @@ exit code, stdout), and the sha256 of every call's (key, exit code, stderr)
 from a second pass with ``--debug-lp`` added wherever the command accepts
 it, and ``extendkit.lp.DEBUG`` set around the call where it does not
 (``test``), so the second column changes exactly when some simplex pivot
-does. The last column counts the ``[lp] pivot`` lines of that pass, so a
-change that alters pivots shows by how many.
+does. The ``pivot-lines`` column is the sha256 of every call's (key,
+``[lp] pivot`` lines with their ``ratio=`` field stripped) from that pass,
+so a change that only rescales right-hand sides, and with them the ratios,
+shows equal pivots there. The last column counts the ``[lp] pivot`` lines,
+so a change that alters pivots shows by how many.
 
 Two trees that print the same lines behave the same on the benchmark.
 Paths in argv are relative to the temporary directory, so the digests do
@@ -29,6 +32,7 @@ import contextlib
 import hashlib
 import io
 import os
+import re
 import sys
 import tempfile
 
@@ -47,11 +51,13 @@ def debug_commands(cli) -> set[str]:
     return {name for name, sp in sub.choices.items() if "--debug-lp" in sp._option_string_actions}
 
 
-def run_pass(cli, lp, calls, debug: set[str] | None) -> tuple[str, int, int]:
-    """(sha256 over the calls, call count, pivot lines). With ``debug``,
-    --debug-lp is added to those commands, lp.DEBUG is set around the
-    others, and stderr is digested instead of stdout."""
+def run_pass(cli, lp, calls, debug: set[str] | None) -> tuple[str, int, int, str]:
+    """(sha256 over the calls, call count, pivot lines, sha256 over the
+    pivot lines without their ratios). With ``debug``, --debug-lp is added
+    to those commands, lp.DEBUG is set around the others, and stderr is
+    digested instead of stdout."""
     h = hashlib.sha256()
+    hp = hashlib.sha256()
     pivots = 0
     for call in calls:
         argv = list(call.argv)
@@ -72,10 +78,14 @@ def run_pass(cli, lp, calls, debug: set[str] | None) -> tuple[str, int, int]:
                 fh.write(out.getvalue())
         text = out.getvalue() if debug is None else err.getvalue()
         pivots += text.count("[lp] pivot ")
+        lines = re.findall(r"^\[lp\] pivot .*?(?= ratio=|$)", text, re.M)
         for part in (call.key, str(code), text):
             h.update(part.encode())
             h.update(b"\0")
-    return h.hexdigest(), len(calls), pivots
+        for part in (call.key, *lines):
+            hp.update(part.encode())
+            hp.update(b"\0")
+    return h.hexdigest(), len(calls), pivots, hp.hexdigest()
 
 
 def main(argv=None) -> int:
@@ -101,13 +111,14 @@ def main(argv=None) -> int:
                     for path, text in wl.files.items():
                         with open(path, "w", encoding="utf-8") as fh:
                             fh.write(text)
-                    stdout, n, _p = run_pass(cli, lp, wl.calls, None)
-                    stderr, _n, pivots = run_pass(cli, lp, wl.calls, debug)
+                    stdout, n, _p, _l = run_pass(cli, lp, wl.calls, None)
+                    stderr, _n, pivots, lines = run_pass(cli, lp, wl.calls, debug)
                 finally:
                     os.chdir(home)
             total += n
             print(
-                f"{name} seed={seed} calls={n} stdout={stdout} debug-lp={stderr} pivots={pivots}"
+                f"{name} seed={seed} calls={n} stdout={stdout} debug-lp={stderr} "
+                f"pivot-lines={lines} pivots={pivots}"
             )
     print(f"total calls={total}")
     return 0
