@@ -25,9 +25,7 @@ from .ground import (
     ZERO,
     PartialSetFunction,
     Rational,
-    denominator_lcm,
     elements,
-    scaled_int,
 )
 
 
@@ -108,14 +106,17 @@ def fractional_cover(footprints, values, t: int, start):
     (value, weights, y).
 
     The LP is the cover's dual: one variable y_i >= 0 per element, maximise
-    sum y_i subject to y . chi(p) <= value, one row per footprint. It starts
-    from the footprints whose indices ``start`` lists; while some footprint
-    is left out, each round adds the most violated one (the strict maximum
-    of y . chi(p) - value, the first one on ties), separated on integers
-    over a table of y . chi(p) for all 2^t masks. The last LP's duals are
-    the optimal weights, [(footprint index, weight)] for the nonzero ones in
-    row order, and its point y has y . chi(p) <= value for every footprint
-    and sum y = value.
+    sum y_i subject to y . chi(p) <= value, one row per footprint. One
+    lp.Session starts from the footprints whose indices ``start`` lists;
+    while some footprint is left out, each round adds the most violated one
+    (the strict maximum of y . chi(p) - value, the first one on ties) to the
+    session's optimal tableau, which re-optimises by dual simplex. The
+    separation runs on the session's point, integers over the tableau
+    denominator, through a table of y . chi(p) for all 2^t masks, so it is
+    exact. The session's result is read out and certified once, at the end:
+    its duals are the optimal weights, [(footprint index, weight)] for the
+    nonzero ones in row order, and its point y has y . chi(p) <= value for
+    every footprint and sum y = value.
     """
     if t == 0:
         return ZERO, (), ()
@@ -126,19 +127,11 @@ def fractional_cover(footprints, values, t: int, start):
         return lp.Constraint(tuple(p >> i & 1 for i in range(t)), "<=", values[k])
 
     generated = list(start)
-    cons = [row(k) for k in generated]
-    while True:
-        out = lp.solve(
-            lp.ExactLP(names, tuple(cons), ((1,) * t, "max"), lower=(0,) * t)
-        )
-        if not isinstance(out, lp.Optimal):
-            raise InternalError("internal error: the fractional-cover LP has no optimum")
-        y = [out.assignment[name] for name in names]
-        if len(generated) == len(footprints):
-            break
-        # the separation runs on integers: y over its common denominator
-        scale = denominator_lcm(y)
-        beta = [scaled_int(b, scale) for b in y]
+    session = lp.Session(
+        lp.ExactLP(names, tuple(row(k) for k in generated), ((1,) * t, "max"), lower=(0,) * t)
+    )
+    while len(generated) < len(footprints):
+        beta, scale = session.point()
         sums = [0] * (1 << t)
         for p in range(1, 1 << t):
             low = p & -p
@@ -151,10 +144,14 @@ def fractional_cover(footprints, values, t: int, start):
         if worst_k is None:
             break
         generated.append(worst_k)
-        cons.append(row(worst_k))
+        session.add(row(worst_k))
+    out = session.result()
+    if not isinstance(out, lp.Optimal):
+        raise InternalError("internal error: the fractional-cover LP has no optimum")
+    y = tuple(out.assignment[name] for name in names)
     # the lower-bound rows' multipliers follow the footprint rows'
     weights = tuple((k, w) for k, w in zip(generated, out.dual) if w != 0)
-    return out.value, weights, tuple(y)
+    return out.value, weights, y
 
 
 def eval_xos_roof(h: PartialSetFunction, target: int):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from extendkit import lp
-from extendkit.errors import DimensionMismatch
+from extendkit.errors import DimensionMismatch, InternalError
 from extendkit.ground import Rational as Q
 
 
@@ -337,9 +337,8 @@ def _check_dual(prob, out):
 
 
 def test_corrupted_dual_readout_raises(monkeypatch):
-    """solve() checks every optimal dual it reads out before returning it."""
-    from extendkit.errors import InternalError
-
+    """solve() checks every optimal dual it reads out before returning it,
+    and a session checks the dual of a tableau re-optimised after add()."""
     read = lp._read_dual
 
     def corrupt(*args):
@@ -349,9 +348,14 @@ def test_corrupted_dual_readout_raises(monkeypatch):
     prob = make(["x", "y"], [([1, 1], "<=", 4), ([1, 0], ">=", 1)], ([1, 2], "max"),
                 lower=(Q(0), Q(0)))
     assert isinstance(lp.solve(prob), lp.Optimal)
+    session = lp.Session(prob)
+    session.add(lp.Constraint((Q(0), Q(1)), "<=", Q(1)))
+    assert session.result().value == 5
     monkeypatch.setattr(lp, "_read_dual", corrupt)
     with pytest.raises(InternalError, match="dual does not certify"):
         lp.solve(prob)
+    with pytest.raises(InternalError, match="dual does not certify"):
+        session.result()
 
 
 def test_self_checks_raise_under_python_O():
@@ -444,3 +448,130 @@ def test_point_check_raises_under_python_O():
     out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "internal error: simplex returned an infeasible point"
+
+
+# ---------------------------------------------------------------------------
+# lp.Session: rows added to an optimal tableau, against a cold solve
+
+frac_q = [Q(n, d) for n in range(-4, 5) for d in (1, 2, 3)]
+
+
+def _random_base(rng):
+    """An LP with an objective over free variables, zero and nonzero lower
+    bounds, fractional coefficients and "<=", "=" and ">=" rows."""
+    nv = rng.randint(1, 4)
+    rows = [
+        (tuple(rng.choice(frac_q) for _ in range(nv)), rng.choice(["<=", "=", ">="]),
+         rng.choice(frac_q))
+        for _ in range(rng.randint(1, 4))
+    ]
+    lower = tuple(rng.choice([None, Q(0), Q(-1), Q(1, 2)]) for _ in range(nv))
+    upper = tuple(rng.choice([None, Q(3), Q(7, 2)]) for _ in range(nv))
+    objective = (tuple(rng.choice(frac_q) for _ in range(nv)), rng.choice(["min", "max"]))
+    return make([f"x{i}" for i in range(nv)], rows, objective, lower, upper)
+
+
+def _with_rows(prob, rows):
+    return lp.ExactLP(prob.variables, prob.constraints + tuple(rows), prob.objective, prob.lower)
+
+
+def test_session_agrees_with_cold_solve_row_by_row():
+    """Rows added one at a time to a session: after each, result() has the
+    outcome kind and value of a cold solve of the same rows, every Optimal
+    dual certifies the value, point() is the assignment, and an Infeasible
+    witness verifies."""
+    rng = random.Random(2718)
+    seen = {"moved": 0, "infeasible": 0, "free": 0, "fractional_lower": 0}
+    for _ in range(600):
+        prob = _random_base(rng)
+        session = lp.Session(prob)
+        if not isinstance(session.result(), lp.Optimal):
+            continue
+        seen["free"] += None in prob.lower
+        seen["fractional_lower"] += Q(1, 2) in prob.lower
+        nv = len(prob.variables)
+        added = []
+        for _ in range(rng.randint(1, 5)):
+            before = session.result().assignment
+            con = lp.Constraint(
+                tuple(rng.choice(frac_q) for _ in range(nv)), "<=", rng.choice(frac_q)
+            )
+            session.add(con)
+            added.append(con)
+            full = _with_rows(prob, added)
+            warm, cold = session.result(), lp.solve(full)
+            assert type(warm) is type(cold)
+            if isinstance(warm, lp.Infeasible):
+                seen["infeasible"] += 1
+                assert lp.verify_farkas(full, warm.witness)
+                with pytest.raises(InternalError):
+                    session.add(con)
+                break
+            assert isinstance(warm, lp.Optimal)
+            assert warm.value == cold.value
+            _check_dual(full, warm)
+            x = [warm.assignment[v] for v in full.variables]
+            assert _satisfies(full.expanded_rows(), x)
+            ints, q = session.point()
+            assert [Q(v, q) for v in ints] == x
+            seen["moved"] += warm.assignment != before
+    assert min(seen.values()) >= 40, seen
+
+
+def test_session_free_column_enters_with_a_positive_coefficient():
+    """max y over y <= 1 with x free; the added row y + x <= 0 is met by
+    x = -1 at the same optimum. The free column enters on a positive entry
+    of the infeasible row, where a bounded one would need a negative one."""
+    prob = make(["x", "y"], [((0, 1), "<=", 1)], ((0, 1), "max"), lower=(None, Q(0)))
+    session = lp.Session(prob)
+    session.add(lp.Constraint((Q(1), Q(1)), "<=", Q(0)))
+    out = session.result()
+    assert isinstance(out, lp.Optimal)
+    assert out.value == 1 and out.assignment == {"x": -1, "y": 1}
+
+
+def test_session_row_that_empties_the_region():
+    prob = make(["x", "y"], [((1, 1), "<=", 4)], ((1, 1), "max"), lower=(Q(0), Q(0)))
+    session = lp.Session(prob)
+    session.add(lp.Constraint((Q(1), Q(0)), "<=", Q(1)))
+    assert session.result().value == 4
+    bad = lp.Constraint((Q(-1), Q(-1)), "<=", Q(-5))
+    session.add(bad)
+    out = session.result()
+    assert isinstance(out, lp.Infeasible)
+    full = _with_rows(prob, [lp.Constraint((Q(1), Q(0)), "<=", Q(1)), bad])
+    assert len(out.witness.multipliers) == 5  # three rows, two lower bounds
+    assert lp.verify_farkas(full, out.witness)
+    assert isinstance(lp.solve(full), lp.Infeasible)
+
+
+def test_session_add_refuses_other_rows_and_non_optima():
+    row = lp.Constraint((Q(1),), "<=", Q(2))
+    session = lp.Session(make(["x"], [((1,), "<=", 3)], ((1,), "max"), lower=(Q(0),)))
+    for rel in (">=", "="):
+        with pytest.raises(InternalError, match="'<=' row"):
+            session.add(lp.Constraint((Q(1),), rel, Q(1)))
+    with pytest.raises(DimensionMismatch):
+        session.add(lp.Constraint((Q(1), Q(1)), "<=", Q(1)))
+    session.add(row)
+    assert session.result().value == 2
+    for prob in (
+        make(["x"], [((1,), ">=", 1), ((1,), "<=", 0)], ((1,), "max")),  # infeasible
+        make(["x"], [((1,), ">=", 0)], ((1,), "max")),  # unbounded
+        make(["x"], [((1,), "<=", 3)]),  # no objective
+    ):
+        session = lp.Session(prob)
+        with pytest.raises(InternalError, match="optimal tableau"):
+            session.add(row)
+        with pytest.raises(InternalError, match="not at an optimum"):
+            session.point()
+
+
+def test_dual_simplex_pivots_print_under_debug(monkeypatch, capsys):
+    prob = make(["x", "y"], [([1, 1], "<=", 4)], ([1, 2], "max"), lower=(Q(0), Q(0)))
+    session = lp.Session(prob)
+    monkeypatch.setattr(lp, "DEBUG", True)
+    session.add(lp.Constraint((Q(0), Q(1)), "<=", Q(1)))
+    lines = capsys.readouterr().err.splitlines()
+    assert lines and all(line.startswith("[lp] pivot enter=") for line in lines)
+    assert all(" leave_row=" in line and " ratio=" in line for line in lines)

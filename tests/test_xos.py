@@ -206,3 +206,87 @@ def test_xos_extendible_implies_subadditive_extendible():
             assert isinstance(
                 sub.extend_monotone_subadditive(h), sub.Extendible
             )
+
+
+def _cold_fractional_cover(footprints, values, t, start):
+    """The reference: fractional_cover's row generation with a cold
+    lp.solve of every generated row each round: (value, rows generated)."""
+    names = tuple(f"b{i}" for i in range(t))
+
+    def row(k):
+        p = footprints[k]
+        return lp.Constraint(tuple(p >> i & 1 for i in range(t)), "<=", values[k])
+
+    generated = list(start)
+    while True:
+        out = lp.solve(
+            lp.ExactLP(names, tuple(row(k) for k in generated), ((1,) * t, "max"),
+                       lower=(0,) * t)
+        )
+        y = [out.assignment[name] for name in names]
+        slack = [sum(y[i] for i in range(t) if p >> i & 1) - v
+                 for p, v in zip(footprints, values)]
+        worst = max(range(len(footprints)), key=lambda k: (slack[k], -k))
+        if slack[worst] <= 0:
+            return out.value, len(generated) - len(start)
+        generated.append(worst)
+
+
+def test_fractional_cover_matches_cold_row_generation():
+    """On random footprint families, started from the singletons or from a
+    few covering footprints: the value of the cold reference loop, weights
+    that cover every element at that cost, and a point y that every
+    footprint bounds and whose sum is the value."""
+    rng = random.Random(1729)
+    rounds = 0
+    for _ in range(150):
+        t = rng.randint(1, 5)
+        pool = rng.sample(range(1, 1 << t), rng.randint(1, (1 << t) - 1))
+        footprints = [1 << i for i in range(t)] + pool
+        values = [rng.randint(0, 12) for _ in footprints]
+        start = range(t) if rng.random() < 0.5 else [
+            k for k, p in enumerate(footprints) if p == (1 << t) - 1 or k < t
+        ]
+        value, weights, y = xos.fractional_cover(footprints, values, t, start)
+        ref, generated = _cold_fractional_cover(footprints, values, t, start)
+        assert value == ref
+        rounds += generated > 1
+        cover = [Q(0)] * t
+        for k, w in weights:
+            assert w > 0
+            for i in range(t):
+                cover[i] += w * (footprints[k] >> i & 1)
+        assert all(c >= 1 for c in cover)
+        assert sum((w * values[k] for k, w in weights), Q(0)) == value
+        assert all(c >= 0 for c in y) and sum(y, Q(0)) == value
+        for p, v in zip(footprints, values):
+            assert sum((y[i] for i in range(t) if p >> i & 1), Q(0)) <= v
+    assert rounds >= 30
+
+
+def test_fractional_cover_builds_one_tableau_and_no_cold_solve(monkeypatch):
+    """Every generated row is added to one Session; lp.solve never runs."""
+    sessions, adds = [], []
+
+    class Counting(lp.Session):
+        def __init__(self, problem):
+            sessions.append(problem)
+            super().__init__(problem)
+
+        def add(self, con):
+            adds.append(con)
+            super().add(con)
+
+    def no_solve(problem):
+        raise AssertionError("fractional_cover called lp.solve")
+
+    monkeypatch.setattr(lp, "Session", Counting)
+    monkeypatch.setattr(lp, "solve", no_solve)
+    rng = random.Random(5)
+    t = 5
+    for call in range(1, 21):
+        footprints = list(range(1, 1 << t))
+        values = [rng.randint(1, 9) * bin(p).count("1") for p in footprints]
+        xos.fractional_cover(footprints, values, t, [(1 << i) - 1 for i in range(t)])
+        assert len(sessions) == call
+    assert len(adds) >= 20
