@@ -274,10 +274,7 @@ def _pool_size(jobs: int, trials: int, cpus: int | None) -> int:
 
 
 def cmd_test(args) -> int:
-    try:
-        eps = Rational(args.epsilon)
-    except (ValueError, ZeroDivisionError):
-        raise InputError(f"--epsilon must be a rational, got {args.epsilon!r}") from None
+    eps = parse_rational(args.epsilon)
     table = oracle.parse_full_table(_read(args.oracle))
     if table.values.has_negative():
         raise InputError("tester oracles must be nonnegative")

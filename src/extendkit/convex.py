@@ -14,14 +14,15 @@ hull it needs vertex enumeration, exponential in m (it is NP-hard in
 general), hence the budget of MAX_VERTEX_SYSTEMS square systems, checked
 before any is solved.
 
-One exact elimination step, _absorb (append a row to a fraction-free
-Gauss-Jordan system and pivot it by lp.pivot, the simplex's pivot), serves
-both the affine dimension and vertex enumeration. Enumeration walks the
-(m+1)-subsets as a depth-first search over the combination tree, so each
-prefix's system is built once and shared by every subset that extends it,
-and a row that depends on its prefix cuts off every subset containing
-both. The rows are scaled to integers once and rationals are formed only
-for the vertices that are kept.
+One exact elimination step, _absorb (reduce a row against a fraction-free
+Gauss-Jordan system by lp.reduce_row and pivot it by lp.pivot, the
+simplex's own two kernels), serves both the affine dimension and vertex
+enumeration. Enumeration walks the (m+1)-subsets as a depth-first search
+over the combination tree, so each prefix's system is built once and
+shared by every subset that extends it, and a row that depends on its
+prefix cuts off every subset containing both. The rows are scaled to
+integers once (ground.scaled_ints) and rationals are formed only for the
+vertices that are kept.
 """
 
 from __future__ import annotations
@@ -44,8 +45,7 @@ from .ground import (
     ZERO,
     ConvexPartialFunction,
     Rational,
-    denominator_lcm,
-    scaled_int,
+    scaled_ints,
 )
 
 # The most (m+1)-subsets vertex enumeration may solve: C(n, m+1) square
@@ -95,15 +95,9 @@ def affine_dimension(points) -> int:
     base = pts[0]
     system = _EMPTY
     for p in pts[1:]:
-        row = _integer_row([c - b for c, b in zip(p, base)])
+        row, _scale = scaled_ints([c - b for c, b in zip(p, base)])
         system = _absorb(system, row, len(base)) or system
     return len(system[1])
-
-
-def _integer_row(row) -> list[int]:
-    """The rational row scaled to integers by its common denominator."""
-    scale = denominator_lcm(row)
-    return [scaled_int(c, scale) for c in row]
 
 
 # A fraction-free Gauss-Jordan system (rows, pivot columns, d) of no rows.
@@ -118,17 +112,13 @@ def _absorb(system, row: list[int], ncols: int):
     A system (rows, cols, d) holds in row r d * B^-1 times the input rows,
     for B the input rows' submatrix on the pivot columns and
     d = |det B| > 0: d in its pivot column cols[r], and zero in every other
-    pivot column. The new row v reduces to w = d*v - sum_r v[cols[r]] *
-    rows[r], which is zero in every pivot column and is v's row over the
-    same denominator; w then takes one lp.pivot on its first nonzero
-    column (Bareiss 1968).
+    pivot column. The new row v reduces by lp.reduce_row to
+    w = d*v - sum_r v[cols[r]] * rows[r], which is zero in every pivot
+    column and is v's row over the same denominator; w then takes one
+    lp.pivot on its first nonzero column (Bareiss 1968).
     """
     rows, cols, d = system
-    w = [d * a for a in row]
-    for prow, c in zip(rows, cols):
-        f = row[c]
-        if f:
-            w = [a - f * b for a, b in zip(w, prow)]
+    w = lp.reduce_row(rows, cols, d, row)
     c = next((j for j in range(ncols) if w[j]), None)
     if c is None:
         return None
@@ -270,7 +260,7 @@ def enumerate_dual_vertices(ch: ConvexPartialFunction) -> tuple[DualVertex, ...]
         )
     _require_full_dimension(ch)
     # the rows (T_i, 1 | f_i), each scaled to integers once
-    rows = [_integer_row(list(vec) + [ONE, value]) for vec, value in ch.points]
+    rows = [scaled_ints([*vec, ONE, value])[0] for vec, value in ch.points]
     seen = set()
     kept = []
 

@@ -5,7 +5,7 @@ Rationals are stdlib fractions.Fraction values: always in lowest terms,
 positive denominator, exact field arithmetic.
 The exact kernels (the simplex, the cover DPs, dual-vertex enumeration)
 do not add rationals in their inner loops: they scale their inputs once to
-integers over a common denominator with denominator_lcm() and scaled_int()
+integers over a common denominator with scaled_ints()
 (a partial set function keeps its scaled values, PartialSetFunction.int_values,
 which the subadditive cover DP and the XOS roof LP read; a tester reads
 each drawn set's subsets once as one packed table of ints,
@@ -81,6 +81,13 @@ def denominator_lcm(values) -> int:
 def scaled_int(value, scale: int) -> int:
     """value * scale as an int, for a scale its denominator divides."""
     return value.numerator * (scale // value.denominator)
+
+
+def scaled_ints(values) -> tuple[list[int], int]:
+    """The rationals in the list ``values`` as ints over the lcm of their
+    denominators: (ints, scale), each value being int / scale."""
+    scale = denominator_lcm(values)
+    return [v.numerator * (scale // v.denominator) for v in values], scale
 
 
 def format_rational(value) -> str:
@@ -176,8 +183,8 @@ class PartialSetFunction:
     def int_values(self) -> tuple[int, tuple[int, ...]]:
         """(L, the values times L as ints, in point order), with L the
         lcm of the values' denominators; computed once per instance."""
-        scale = denominator_lcm(v for _mask, v in self.points)
-        return scale, tuple(scaled_int(v, scale) for _mask, v in self.points)
+        ints, scale = scaled_ints([v for _mask, v in self.points])
+        return scale, tuple(ints)
 
     def require_nonnegative(self, klass: str = "subadditive") -> None:
         for mask, v in self.points:

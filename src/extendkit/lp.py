@@ -2,22 +2,24 @@
 infeasibility witnesses, and unboundedness rays.
 
 Every decision procedure in the package funnels through solve() or a
-Session. All
-arithmetic is exact and fraction-free. Each solver row is scaled to integers
-by the lcm of its denominators, and the tableau holds the integers
-T = D * B^-1 [A | b] over one common denominator D = |det B| > 0. A pivot
-on p = T[r][c] sets T[i][j] = (p*T[i][j] - T[i][c]*T[r][j]) // D and D = p;
-the division is exact (Edmonds 1967, Bareiss 1968), so the simplex takes no
-gcd. That pivot, pivot(), is also the elimination step of the convex
-module's square solves.
-Rationals are formed only when an assignment, an optimal value, a ray or a
-set of multipliers is read out.
+Session, and every exact elimination through two kernels. All arithmetic
+is exact and fraction-free. Each solver row is scaled to integers by the
+lcm of its denominators, and a system holds the integers
+T = D * B^-1 [A | b] over one common denominator D = |det B| > 0.
+pivot() on p = T[r][c] sets T[i][j] = (p*T[i][j] - T[i][c]*T[r][j]) // D
+and D = p; the division is exact (Edmonds 1967, Bareiss 1968), so no gcd
+is taken. reduce_row() writes a new row v over such a system as
+D*v - sum_r v[basis_r] * T_r. Both also serve the convex module's square
+solves.
 
 solve() is Session(lp).result(): a Session runs the two-phase primal
 simplex and keeps its final tableau, so that row generation can add a "<="
 row to an optimal tableau and re-optimise it by dual simplex steps (Lemke
-1954) instead of solving again from the slack basis. Every outcome, cold
-or warm, is read out and certified by the same result().
+1954) instead of solving again from the slack basis. The tableau is read
+out in one integer form, a column as ints over D (the point, or a ray),
+and result() checks those ints against rows the checks scale themselves;
+Rationals are formed only for the returned answer. Every outcome, cold or
+warm, is read out and certified by the same result().
 
 Column j is variable j: x_j = lower_j + col_j when bounded below, and
 x_j = col_j when free. A free column enters with either sign, and once basic
@@ -49,7 +51,7 @@ from math import lcm
 from typing import Optional
 
 from .errors import DimensionMismatch, InternalError
-from .ground import ONE, ZERO, Rational, denominator_lcm, scaled_int
+from .ground import ONE, ZERO, Rational, scaled_int, scaled_ints
 
 DEBUG = False
 
@@ -135,10 +137,15 @@ def _integer_rows(lp: ExactLP):
     its one variable only, so no unit row is built."""
     out = []
     for c in lp.constraints:
-        row = [(j, a) for j, a in enumerate(c.coeffs) if a]
-        s = denominator_lcm([c.rhs] + [a for _j, a in row])
-        row = [(j, scaled_int(a, s)) for j, a in row]
-        out.append((row, c.relation, scaled_int(c.rhs, s), s))
+        cols, vals = [], []
+        for j, a in enumerate(c.coeffs):
+            if a:
+                cols.append(j)
+                vals.append(a)
+        vals.append(c.rhs)
+        ints, s = scaled_ints(vals)
+        b = ints.pop()
+        out.append((list(zip(cols, ints)), c.relation, b, s))
     for j, b in enumerate(lp.lower or ()):
         if b is not None:
             s = b.denominator
@@ -226,78 +233,24 @@ def pivot(rows, r, c, d):
     return p
 
 
-class _Tableau:
-    """Dense integer tableau over the common denominator ``d``.
+def reduce_row(rows, cols, d, v):
+    """The integer row v reduced against a fraction-free system, as a new
+    list: d*v - sum_r v[cols[r]] * rows[r].
 
-    Row 0 holds d * L * (reduced costs | -objective) for the phase's integer
-    cost vector scaled by L; rows 1.. hold d * B^-1 [A | b]. ``colscale[j]``
-    is the factor by which column j's variable is scaled against the
-    unscaled LP (a row's scale for its slack and artificial, else 1).
+    Row r of the system holds d * B^-1 times the input rows, for B their
+    submatrix on the pivot columns ``cols`` and d = |det B| > 0: d in its
+    pivot column cols[r], zero in every other pivot column. The result is
+    zero in every pivot column and is v's row of the same system over the
+    same denominator, with no division (Edmonds 1967). It writes row 0 of
+    a simplex phase (v the phase's costs), a row Session.add appends, and a
+    row convex._absorb adds to a square system.
     """
-
-    def __init__(self, rows, ncols, basis, colscale):
-        self.rows = rows  # list of int lists, each length ncols+1
-        self.ncols = ncols
-        self.basis = basis  # basic column per row
-        self.colscale = colscale
-        self.d = 1
-
-    def pivot(self, r, c):
-        self.d = pivot(self.rows, r, c, self.d)
-        self.basis[r - 1] = c
-
-    def price(self, cost):
-        """Row 0 for a phase's integer costs: d * cost minus each basic
-        column's cost times its row (-cost_B . rhs in the rhs column)."""
-        obj = [self.d * a for a in cost] + [0]
-        for row, col in zip(self.rows[1:], self.basis):
-            cb = cost[col]
-            if cb:
-                for j, v in enumerate(row):
-                    if v:
-                        obj[j] -= cb * v
-        self.rows[0] = obj
-
-    def bland_min(self, eligible, free):
-        """One phase of Bland's-rule simplex on a min objective in row 0.
-        A column in ``free`` has no lower bound: it enters in the direction
-        s = +-1 that lowers the objective, and its row never leaves.
-
-        Returns "optimal" or ("unbounded", entering_col, s).
-        """
-        rows = self.rows
-        basis = self.basis
-        rhs = self.ncols
-        while True:
-            obj = rows[0]
-            for enter in eligible:
-                if obj[enter] < 0 or (obj[enter] and enter in free):
-                    break
-            else:
-                return "optimal"
-            s = 1 if obj[enter] < 0 else -1
-            # ratio test: the least rhs/a over a = s*T[r][enter] > 0 in the
-            # rows of bounded basic columns, compared as t*den vs num*a,
-            # ties to the smaller basic column
-            leave = -1
-            num = den = 0
-            for r in range(1, len(rows)):
-                a = s * rows[r][enter]
-                if a > 0 and basis[r - 1] not in free:
-                    t = rows[r][rhs]
-                    if leave < 0 or t * den < num * a or (
-                        t * den == num * a and basis[r - 1] < basis[leave - 1]
-                    ):
-                        num, den, leave = t, a, r
-            if leave < 0:
-                return ("unbounded", enter, s)
-            if DEBUG:
-                ratio = Rational(num, den * self.colscale[enter])
-                print(
-                    f"[lp] pivot enter={enter} leave_row={leave} ratio={ratio}",
-                    file=sys.stderr,
-                )
-            self.pivot(leave, enter)
+    w = [d * a for a in v]
+    for row, c in zip(rows, cols):
+        f = v[c]
+        if f:
+            w = [a - f * b for a, b in zip(w, row)]
+    return w
 
 
 def solve(lp: ExactLP):
@@ -310,9 +263,18 @@ def solve(lp: ExactLP):
     return Session(lp).result()
 
 
+
+
 class Session:
     """An LP solved by two-phase primal simplex and kept at its final
     tableau, so that "<=" rows can be added to it (row generation).
+
+    The tableau is dense over the common denominator ``d``: row 0 holds
+    d * L * (reduced costs | -objective) for the phase's integer cost vector
+    scaled by L; rows 1.. hold d * B^-1 [A | b], row i basic on column
+    ``basis[i - 1]``. ``colscale[j]`` is the factor by which column j's
+    variable is scaled against the unscaled LP (a row's scale for its slack
+    and artificial, else 1).
 
     Session(lp) normalises the rows and runs both phases; result() reads
     out the outcome and runs every self-check, so a session that is never
@@ -326,7 +288,7 @@ class Session:
         self.lp = lp
         self.added = []  # the rows add() appended, in order
         self.lower = lower = lp.lower if lp.lower is not None else (None,) * nv
-        self.free = free = {j for j, lo in enumerate(lower) if lo is None}
+        self.free = {j for j, lo in enumerate(lower) if lo is None}
         ncols = nv
 
         # Fold each row's lower-bound shifts into its rhs, scale the row to
@@ -362,9 +324,9 @@ class Session:
         # has none (a "<=" row); that column carries +1 in the row only, so
         # row 0 shows the row's dual there. dual_read pairs it with o, which
         # turns that dual into the orientation of the unflipped row.
-        colscale = [1] * ncols
-        rows = [[0] * (ncols + 1)]  # row 0 = objective row, filled per phase
-        basis = []
+        self.colscale = colscale = [1] * ncols
+        self.rows = rows = [[0] * (ncols + 1)]  # row 0 = objective row, filled per phase
+        self.basis = basis = []
         self.dual_read = []
         for i, (cc, rel, b, flip, s) in enumerate(norm):
             row = [0] * (ncols + 1)
@@ -382,8 +344,8 @@ class Session:
             )
             row[ncols] = b
             rows.append(row)
-
-        self.tab = tab = _Tableau(rows, ncols, basis, colscale)
+        self.ncols = ncols
+        self.d = 1
         self.lower_cols = [j for j, lo in enumerate(lower) if lo is not None]
 
         # ---- phase 1: minimize phase1_l times the sum of the unscaled
@@ -392,9 +354,8 @@ class Session:
         if art_set:
             phase1_l = lcm(*(colscale[a] for a in art_set))
             cost1 = [phase1_l // colscale[j] if j in art_set else 0 for j in range(ncols)]
-            tab.price(cost1)
-            status = tab.bland_min(range(ncols), free)
-            if status != "optimal":
+            self._price(cost1)
+            if self._primal(range(ncols)) != "optimal":
                 raise InternalError("internal error: phase 1 cannot be unbounded")
             if rows[0][ncols] < 0:  # a positive sum of artificials remains
                 # the phase-1 dual bounds the artificials' sum away from 0
@@ -402,13 +363,13 @@ class Session:
                 # Farkas witness
                 self.status = ("infeasible", rows[0], cost1, phase1_l)
                 return
-            # drive artificials out of the basis where possible
+            # drive artificials out of the basis where possible, silently
             for i in range(nrows):
-                if tab.basis[i] in art_set:
+                if self.basis[i] in art_set:
                     row = rows[i + 1]
                     for j in range(ncols):
                         if j not in art_set and row[j]:
-                            tab.pivot(i + 1, j)
+                            self._pivot(i + 1, j, None, None)
                             break
                     # an all-zero row is redundant; its basic artificial stays 0
 
@@ -420,42 +381,91 @@ class Session:
         coeffs, direction = lp.objective
         self.sign = sign = 1 if direction == "min" else -1
         signed = [sign * a for a in coeffs]
-        self.cost_l = cost_l = denominator_lcm(signed)
-        self.cost = cost = [0] * ncols
-        self.const_term = ZERO
-        for j, a in enumerate(signed):
-            if not a:
-                continue
-            cost[j] = scaled_int(a, cost_l)
-            if lower[j]:
-                self.const_term += a * lower[j]
-        tab.price(cost)
+        cost, self.cost_l = scaled_ints(signed)
+        self.cost = cost = cost + [0] * (ncols - nv)
+        self.const_term = sum((a * lo for a, lo in zip(signed, lower) if a and lo), ZERO)
+        self._price(cost)
 
         self.eligible = [j for j in range(ncols) if j not in art_set]
-        self.status = tab.bland_min(self.eligible, free)
+        self.status = self._primal(self.eligible)
 
     def _shifted(self, con):
         """The row's nonzero coefficients and its rhs less the lower-bound
         shifts, scaled to integers by the lcm s of their denominators:
         ([(col, int)], rhs, s)."""
-        nz = []
         b = con.rhs
+        cols, vals = [], []
         for j, a in enumerate(con.coeffs):
             if a:
-                nz.append((j, a))
+                cols.append(j)
+                vals.append(a)
                 if self.lower[j]:
                     b -= a * self.lower[j]
-        s = denominator_lcm([a for _j, a in nz] + [b])
-        return [(j, scaled_int(a, s)) for j, a in nz], scaled_int(b, s), s
+        vals.append(b)
+        ints, s = scaled_ints(vals)
+        b = ints.pop()
+        return list(zip(cols, ints)), b, s
+
+    def _pivot(self, r, c, num, den):
+        """Pivot on T[r][c]; under DEBUG print the step with its ratio
+        num / den, unless den is None."""
+        if DEBUG and den is not None:
+            print(
+                f"[lp] pivot enter={c} leave_row={r} ratio={Rational(num, den)}",
+                file=sys.stderr,
+            )
+        self.d = pivot(self.rows, r, c, self.d)
+        self.basis[r - 1] = c
+
+    def _price(self, cost):
+        """Row 0 for a phase's integer costs: d * cost reduced against the
+        basis (-cost_B . rhs in the rhs column)."""
+        self.rows[0] = reduce_row(self.rows[1:], self.basis, self.d, cost + [0])
+
+    def _primal(self, eligible):
+        """One phase of Bland's-rule simplex on a min objective in row 0.
+        A free column has no lower bound: it enters in the direction
+        s = +-1 that lowers the objective, and its row never leaves.
+
+        Returns "optimal" or ("unbounded", entering_col, s).
+        """
+        rows = self.rows
+        basis = self.basis
+        free = self.free
+        rhs = self.ncols
+        while True:
+            obj = rows[0]
+            for enter in eligible:
+                if obj[enter] < 0 or (obj[enter] and enter in free):
+                    break
+            else:
+                return "optimal"
+            s = 1 if obj[enter] < 0 else -1
+            # ratio test: the least rhs/a over a = s*T[r][enter] > 0 in the
+            # rows of bounded basic columns, compared as t*den vs num*a,
+            # ties to the smaller basic column
+            leave = -1
+            num = den = 0
+            for r in range(1, len(rows)):
+                a = s * rows[r][enter]
+                if a > 0 and basis[r - 1] not in free:
+                    t = rows[r][rhs]
+                    if leave < 0 or t * den < num * a or (
+                        t * den == num * a and basis[r - 1] < basis[leave - 1]
+                    ):
+                        num, den, leave = t, a, r
+            if leave < 0:
+                return ("unbounded", enter, s)
+            self._pivot(leave, enter, num, den * self.colscale[enter])
 
     def add(self, con: Constraint):
         """Append the "<=" row ``con`` to the optimal tableau and
         re-optimise by dual simplex steps.
 
         The row is scaled to integers and gets one slack column, basic in
-        the new row. Reduced against the basis as d*a - sum a[basis_i]*T_i
-        it keeps the tableau's invariant without a division, and row 0 does
-        not change, so the tableau stays dual feasible. Each step then takes
+        the new row. Reduced against the basis by reduce_row it keeps the
+        tableau's invariant without a division, and row 0 does not change,
+        so the tableau stays dual feasible. Each step then takes
         the row of least basic column among the bounded basic columns with
         a negative value, and enters the column of least ratio
         obj[j] / |T[r][j]| over T[r][j] < 0 (a free column, whose reduced
@@ -469,30 +479,21 @@ class Session:
         nv = len(self.lp.variables)
         if len(con.coeffs) != nv:
             raise DimensionMismatch(f"row width {len(con.coeffs)} != variable count {nv}")
-        tab = self.tab
-        rows = tab.rows
-        n = tab.ncols
+        rows = self.rows
+        n = self.ncols
         cc, b, s = self._shifted(con)
         for row in rows:
             row.insert(n, 0)
-        tab.ncols = n + 1
-        tab.colscale.append(s)
+        self.ncols = n + 1
+        self.colscale.append(s)
         self.cost.append(0)
-        d = tab.d
-        new = [0] * (n + 2)
+        v = [0] * (n + 2)
         for j, a in cc:
-            new[j] = d * a
-        new[n] = d
-        new[n + 1] = d * b
-        coeff = dict(cc)
-        for row, col in zip(rows[1:], tab.basis):
-            f = coeff.get(col)
-            if f:
-                for j, v in enumerate(row):
-                    if v:
-                        new[j] -= f * v
-        rows.append(new)
-        tab.basis.append(n)
+            v[j] = a
+        v[n] = 1
+        v[n + 1] = b
+        rows.append(reduce_row(rows[1:], self.basis, self.d, v))
+        self.basis.append(n)
         self.added.append(con)
         self.dual_read.append((n, -1))  # an unflipped "<=" row
         self.eligible.append(n)
@@ -503,11 +504,10 @@ class Session:
         nonnegative (status stays "optimal") or a row proves the LP
         infeasible. Under DEBUG each pivot prints like a primal one, with
         the dual step obj[j] / |T[r][j]| over the cost scale as its ratio."""
-        tab = self.tab
-        rows = tab.rows
-        basis = tab.basis
+        rows = self.rows
+        basis = self.basis
         free = self.free
-        rhs = tab.ncols
+        rhs = self.ncols
         while True:
             leave = -1
             for r in range(1, len(rows)):
@@ -529,15 +529,22 @@ class Session:
                     if enter < 0 or obj[j] * den < num * a:
                         enter, num, den = j, obj[j], a
             if enter < 0:
-                self.status = ("infeasible", row, [0] * tab.ncols, 1)
+                self.status = ("infeasible", row, [0] * self.ncols, 1)
                 return
-            if DEBUG:
-                ratio = Rational(num, den * self.cost_l)
-                print(
-                    f"[lp] pivot enter={enter} leave_row={leave} ratio={ratio}",
-                    file=sys.stderr,
-                )
-            tab.pivot(leave, enter)
+            self._pivot(leave, enter, num, den * self.cost_l)
+
+    def _column(self, c, f):
+        """Column c of the tableau read as the variables, ints over d: each
+        basic variable at f * T[i][c], variable c (when structural) at d,
+        every other at 0. The basic point is c = ncols (the rhs), f = 1,
+        before the lower-bound shifts are added; the ray of entering column
+        c has f = -colscale[c], since one unit of its unscaled variable moves
+        basic column i by that much."""
+        vals = [0] * (self.ncols + 1)
+        vals[c] = self.d
+        for row, col in zip(self.rows[1:], self.basis):
+            vals[col] = f * row[c]
+        return vals[: len(self.lower)]
 
     def point(self):
         """The current values of the variables as ints over one common
@@ -545,35 +552,13 @@ class Session:
         tableau denominator d when every lower bound is an integer."""
         if self.status != "optimal":
             raise InternalError("internal error: the session is not at an optimum")
-        tab = self.tab
-        ll = denominator_lcm([lo for lo in self.lower if lo])
-        q = tab.d * ll
-        x = [0] * len(self.lower)
-        for row, col in zip(tab.rows[1:], tab.basis):
-            if col < len(x):
-                x[col] = row[tab.ncols] * ll
-        for j, lo in enumerate(self.lower):
-            if lo:
-                x[j] += scaled_int(lo, q)
-        return x, q
+        return self._point()
 
-    def _read_out(self, c, f, base):
-        """The variables when each basic column stands at f * T[i][c] / d,
-        column c at 1 and every other column at 0: x_j is base_j plus
-        column j. The basic point is c = ncols (the rhs), f = 1; the ray of
-        entering column c has f = -colscale[c], since one unit of its
-        unscaled variable moves basic column i by that much."""
-        tab = self.tab
-        d = tab.d
-        vals = [0] * (tab.ncols + 1)
-        vals[c] = d
-        for row, col in zip(tab.rows[1:], tab.basis):
-            vals[col] = f * row[c]
-        out = {}
-        for name, lo, v in zip(self.lp.variables, base, vals):
-            v = Rational(v, d)
-            out[name] = lo + v if lo else v
-        return out
+    def _point(self):
+        """point() without its status check, for a feasible result too."""
+        shift, ll = scaled_ints([lo or 0 for lo in self.lower])
+        d = self.d
+        return [v * ll + t * d for v, t in zip(self._column(self.ncols, 1), shift)], d * ll
 
     def result(self):
         """The outcome of the LP with every added row, checked exactly: a
@@ -584,30 +569,26 @@ class Session:
             lp = ExactLP(lp.variables, lp.constraints + tuple(self.added), lp.objective, lp.lower)
         status = self.status
         kind = status if isinstance(status, str) else status[0]
-        ncols = self.tab.ncols
         if kind == "infeasible":
             _, obj, cost, scale = status
             witness = FarkasWitness(_read_dual(self, obj, cost, scale))
             if not verify_farkas(lp, witness):
                 raise InternalError("internal error: unverifiable Farkas witness")
             return Infeasible(witness)
-        if kind == "feasible":
-            assignment = self._read_out(ncols, 1, self.lower)
-            _check_rows(lp, assignment)
-            return Feasible(assignment)
         if kind == "unbounded":
             _, enter, s = status
-            ray = self._read_out(enter, -self.tab.colscale[enter], (None,) * len(self.lower))
-            if s < 0:  # a free column entering downwards
-                ray = {name: -v for name, v in ray.items()}
-            _check_rows(lp, ray, ray=True)
-            return Unbounded(ray)
+            x = [s * v for v in self._column(enter, -self.colscale[enter])]
+            _check_rows(lp, x, self.d, True)
+            return Unbounded({name: Rational(v, self.d) for name, v in zip(lp.variables, x)})
+        x, q = self._point()
+        irows = _check_rows(lp, x, q, False)
+        assignment = {name: Rational(v, q) for name, v in zip(lp.variables, x)}
+        if kind == "feasible":
+            return Feasible(assignment)
 
-        assignment = self._read_out(ncols, 1, self.lower)
-        irows, x, scale = _check_rows(lp, assignment)
-        d = self.tab.d
-        value = self.sign * (Rational(-self.tab.rows[0][ncols], self.cost_l * d) + self.const_term)
-        dual = _read_dual(self, self.tab.rows[0], self.cost, self.cost_l)
+        value = Rational(-self.rows[0][self.ncols], self.cost_l * self.d)
+        value = self.sign * (value + self.const_term)
+        dual = _read_dual(self, self.rows[0], self.cost, self.cost_l)
         combined = _combine(lp, irows, dual)
         coeffs, direction = lp.objective
         o = 1 if direction == "max" else -1  # the dual proves o*c.x <= o*value
@@ -615,9 +596,9 @@ class Session:
             v * a.denominator == o * combined[2] * a.numerator
             for v, a in zip([*combined[0], combined[1]], [*coeffs, value])
         )
-        # the point attains the value: c.x on the integers cost_l*c and scale*x
+        # the point attains the value: c.x on the integers cost_l*c and x
         attained = sum(scaled_int(a, self.cost_l) * v for a, v in zip(coeffs, x) if a)
-        if not certified or attained * value.denominator != value.numerator * self.cost_l * scale:
+        if not certified or attained * value.denominator != value.numerator * self.cost_l * q:
             raise InternalError("internal error: the dual does not certify the optimum")
         return Optimal(assignment, value, dual)
 
@@ -635,8 +616,8 @@ def _read_dual(session, obj, cost, scale):
     row. The entry of a shifted column is the multiplier of its variable's
     lower-bound row.
     """
-    d = session.tab.d
-    colscale = session.tab.colscale
+    d = session.d
+    colscale = session.colscale
     den = d * scale
     rows = [
         Rational(o * colscale[j] * (cost[j] * d - obj[j]), den)
@@ -646,22 +627,18 @@ def _read_dual(session, obj, cost, scale):
     return tuple(rows + lower)
 
 
-def _check_rows(lp, values, ray=False):
-    """(irows, x, scale), once every expanded row holds at the point
-    ``values``, compared on integers: irows from _integer_rows, and x the
-    point's values times scale, the lcm of their denominators. A ray must
-    improve the objective and hold every row with its rhs taken as 0 (the
-    row's recession cone)."""
-    vals = [values[name] for name in lp.variables]
+def _check_rows(lp, x, q, ray):
+    """The expanded rows from _integer_rows, once each holds at the point
+    x / q (ints x over q > 0), compared on integers. A ray must improve the
+    objective and hold every row with its rhs taken as 0 (the row's
+    recession cone)."""
     if ray:
         coeffs, direction = lp.objective
-        gain = sum((a * v for a, v in zip(coeffs, vals) if a), ZERO)
+        gain = sum(a * v for a, v in zip(coeffs, x) if a)
         if not ((gain < 0) if direction == "min" else (gain > 0)):
             raise InternalError("internal error: ray does not improve the objective")
     irows = _integer_rows(lp)
-    scale = denominator_lcm(vals)
-    x = [scaled_int(v, scale) for v in vals]
-    rhs_scale = 0 if ray else scale
+    rhs_scale = 0 if ray else q
     for row, rel, b, _s in irows:
         lhs = sum(a * x[j] for j, a in row)
         rhs = b * rhs_scale
@@ -670,4 +647,4 @@ def _check_rows(lp, values, ray=False):
                 "internal error: ray leaves the feasible region" if ray
                 else "internal error: simplex returned an infeasible point"
             )
-    return irows, x, scale
+    return irows

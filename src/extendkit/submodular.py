@@ -35,13 +35,12 @@ from .ground import (
     ZERO,
     PartialSetFunction,
     Rational,
-    denominator_lcm,
     elements,
     is_json_int,
     is_subset,
     json_document,
     lex_key,
-    scaled_int,
+    scaled_ints,
 )
 
 DEFAULT_CLOSURE_CAP = 50_000
@@ -344,8 +343,8 @@ def extract_square_certificate(
     used = [(ab, lam) for ab, lam in zip(pairs, witness.multipliers) if lam]
     if not used:
         raise WitnessInvalid("witness places no weight on submodularity rows")
-    scale = denominator_lcm(lam for _, lam in used)
-    tuples = tuple((square(a, b), scaled_int(lam, scale)) for (a, b), lam in used)
+    mults, _scale = scaled_ints([lam for _, lam in used])
+    tuples = tuple((square(a, b), k) for ((a, b), _), k in zip(used, mults))
     cert = SquareCertificate(h.m, tuples, context=h)
     if not verify_square_certificate(cert, h):
         raise WitnessInvalid("extracted certificate fails verification")

@@ -22,9 +22,8 @@ from .errors import EpsilonOutOfRange, InternalError, TooLarge
 from .ground import (
     PartialSetFunction,
     Rational,
-    denominator_lcm,
     elements,
-    scaled_int,
+    scaled_ints,
     submasks,
     to_jsonable,
 )
@@ -59,9 +58,7 @@ class FunctionOracle:
         return oracle
 
     def _scaled_rationals(self, masks) -> tuple[list[int], int]:
-        values = list(map(self._fn, masks))
-        scale = denominator_lcm(values)
-        return [scaled_int(v, scale) for v in values], scale
+        return scaled_ints(list(map(self._fn, masks)))
 
     def evaluate(self, mask: int) -> Rational:
         self.query_count += 1

@@ -400,6 +400,21 @@ def test_epsilon_zero_denominator_is_an_input_error(files):
     assert "input error" in out.stderr and "Traceback" not in out.stderr
 
 
+@pytest.mark.parametrize("eps", [" 1/10", "0.1", "1e-1", "1_0/100", "\u0661/\u0663"])
+def test_epsilon_takes_a_rational_literal_only(files, eps, capsys):
+    """--epsilon follows the rational-literal grammar of the input
+    documents: no whitespace, decimals, exponents, underscores or
+    non-ASCII digits."""
+    from extendkit import cli
+
+    code = cli.main(
+        ["test", "--class", "xos", "--oracle", files["modular.json"], "--epsilon", eps]
+    )
+    out = capsys.readouterr()
+    assert code == 2 and out.out == ""
+    assert out.err.startswith("input error:")
+
+
 @pytest.mark.parametrize(
     "cert",
     [

@@ -209,6 +209,52 @@ def test_fractional_coefficients():
     assert out.value == 6  # x=2 or y=3 both cost 6
 
 
+def _gauss_jordan(B, A):
+    """B^-1 A in Fractions, for a nonsingular square B."""
+    k = len(B)
+    aug = [[Q(x) for x in brow + arow] for brow, arow in zip(B, A)]
+    for c in range(k):
+        r = next(r for r in range(c, k) if aug[r][c])
+        aug[c], aug[r] = aug[r], aug[c]
+        aug[c] = [x / aug[c][c] for x in aug[c]]
+        for i in range(k):
+            if i != c and aug[i][c]:
+                f = aug[i][c]
+                aug[i] = [x - f * y for x, y in zip(aug[i], aug[c])]
+    return [row[k:] for row in aug]
+
+
+def test_reduce_row_matches_rational_elimination():
+    """reduce_row against a system built by lp.pivot is d*(v - v_B B^-1 A),
+    computed in Fractions apart, and zero in every pivot column."""
+    rng = random.Random(7)
+    checked = 0
+    for _ in range(200):
+        k = rng.randint(1, 4)
+        n = rng.randint(k, 6)
+        A = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(k)]
+        rows = [list(row) for row in A]
+        cols, d = [], 1
+        for r in range(k):
+            c = next((j for j in range(n) if j not in cols and rows[r][j]), None)
+            if c is None:
+                break  # A has dependent rows
+            d = lp.pivot(rows, r, c, d)
+            cols.append(c)
+        else:
+            v = [rng.randint(-5, 5) for _ in range(n)]
+            w = lp.reduce_row(rows, cols, d, v)
+            inv = _gauss_jordan([[row[c] for c in cols] for row in A], A)
+            expect = [
+                d * (v[j] - sum(v[c] * inv[r][j] for r, c in enumerate(cols)))
+                for j in range(n)
+            ]
+            assert w == expect
+            assert all(w[c] == 0 for c in cols)
+            checked += 1
+    assert checked > 100
+
+
 # ---------------------------------------------------------------------------
 # property: the integer tableau against an independent brute force
 
@@ -393,7 +439,7 @@ def _claim_unbounded(monkeypatch):
     """Make phase 2 stop at once and call the first column unbounded, as a
     wrong ratio test would. The LPs below have no artificial column, so
     phase 2 is the only phase."""
-    monkeypatch.setattr(lp._Tableau, "bland_min", lambda tab, eligible, free: ("unbounded", 0, 1))
+    monkeypatch.setattr(lp.Session, "_primal", lambda session, eligible: ("unbounded", 0, 1))
 
 
 def test_infeasible_point_raises(monkeypatch):
